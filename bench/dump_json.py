@@ -5,7 +5,7 @@ Runs `micro_core --smoke --benchmark_format=json`, extracts the probe
 throughput benches (BM_ProbeCsr / BM_ProbeVecOfVec / BM_ProbeSwap /
 BM_ApplySwap / BM_ProbeBatch{4,8,16,32}) keyed by circuit, and writes a
 small JSON file with ns per candidate per bench plus the
-CSR-vs-vector-of-vectors and batch8-vs-scalar probe speedups per circuit. With --macro it
+CSR-vs-vector-of-vectors and batch8-vs-width-1 probe speedups per circuit. With --macro it
 additionally runs `macro_scale --smoke` and folds its per-circuit scale
 report (build/setup/probe times, the short engine runs, and the
 parallel-shared strong-scaling counters at 1/2/4/8 threads) into the output. CI runs this on every push and uploads the result as an
@@ -195,7 +195,7 @@ def main():
         json.dump(result, f, indent=2, sort_keys=True)
         f.write("\n")
     print(f"wrote {args.output}: probe speedup per circuit {speedup}")
-    print(f"  batch8-vs-scalar probe speedup {batch_speedup}")
+    print(f"  batch8-vs-width-1 probe speedup {batch_speedup}")
     if args.macro:
         for circuit, entry in sorted(result["macro_scale"].items()):
             scaling = entry["shared_scaling"]

@@ -4,7 +4,8 @@
 //
 //   build      netlist generation + finalize (CSR topology) wall time
 //   setup      layout + random placement + K-paths + evaluator construction
-//   probe      steady-state trial-probe throughput (the search inner loop)
+//   probe      steady-state trial-probe throughput (the search inner loop):
+//              probe_swap, i.e. width-1 probe_batch, against batch8
 //   engines    a short tabu / anneal / parallel-sim / parallel-shared run
 //              through the solver front door: wall time, makespan (virtual
 //              seconds for parallel-sim), cost before/after, and tt50 — the
@@ -221,9 +222,10 @@ int main(int argc, char** argv) {
     }
     const double probe_ns = watch.seconds() * 1e9 / static_cast<double>(probes);
 
-    // Batched probe throughput at the production batch width (the same
-    // candidate distribution, scored through Evaluator::probe_batch eight
-    // at a time — the width base_config plumbs into every candidate loop).
+    // The same kernel at the production batch width (the same candidate
+    // distribution, scored through Evaluator::probe_batch eight at a time —
+    // the width base_config plumbs into every candidate loop); the speedup
+    // is what a wider call amortizes over probe_swap's width 1.
     const std::size_t batch_width = 8;
     std::vector<cost::Move> batch_moves(batch_width);
     std::vector<double> batch_costs(batch_width);

@@ -67,11 +67,12 @@ void BM_ProbeSwap(benchmark::State& state) {
 }
 BENCHMARK(BM_ProbeSwap)->DenseRange(0, 3);
 
-// Batched candidate scoring vs BM_ProbeSwap: one iteration samples `width`
-// pairs (same stream discipline as the scalar bench — one draw per trial)
-// and scores them in a single Evaluator::probe_batch call, so items/s are
-// directly comparable between the two families. dump_json.py tracks the
-// batch-8 per-candidate time against BM_ProbeSwap as probe_batch_speedup.
+// Batched candidate scoring vs BM_ProbeSwap (the width-1 batch): one
+// iteration samples `width` pairs (same stream discipline as BM_ProbeSwap —
+// one draw per trial) and scores them in a single Evaluator::probe_batch
+// call, so items/s are directly comparable between the two families.
+// dump_json.py tracks the batch-8 per-candidate time against BM_ProbeSwap
+// as probe_batch_speedup: what a wider call amortizes over width 1.
 void run_probe_batch_bench(benchmark::State& state, std::size_t width) {
   const auto& nl = circuit_for(static_cast<int>(state.range(0)));
   static std::map<const netlist::Netlist*, std::unique_ptr<placement::Layout>>

@@ -16,11 +16,13 @@ Evaluator::Evaluator(placement::Placement placement,
       hpwl_(placement_),
       timer_(paths_, hpwl_, params.delay_model),
       marker_(placement_.netlist().num_nets()),
-      topology_(&placement_.netlist().topology()) {
+      topology_(&placement_.netlist().topology()),
+      shadow_x_(placement_.positions_x().begin(), placement_.positions_x().end()),
+      shadow_y_(placement_.positions_y().begin(), placement_.positions_y().end()) {
   PTS_CHECK(params_.rebuild_interval >= 1);
   // Size every scratch buffer to its worst case up front so that neither
-  // probe_swap nor apply_swap/commit_probe allocates in steady state
-  // (asserted by topology_test's allocation-counting guard).
+  // probing nor apply_swap/commit_probe allocates in steady state (asserted
+  // by topology_test's allocation-counting guard).
   moved_scratch_.reserve(placement_.netlist().num_cells());
   change_scratch_.reserve(placement_.netlist().num_nets());
   box_scratch_.reserve(placement_.netlist().num_nets());
@@ -55,78 +57,28 @@ double Evaluator::apply_swap(CellId a, CellId b) {
 }
 
 double Evaluator::probe_swap(CellId a, CellId b) {
-  // Same pass as apply_swap up to and including box recomputation, but the
-  // new boxes, the HPWL delta, and the path sums land in scratch; the
-  // geometry swap is reverted before returning (swap_cells is an exact
-  // involution), so no observable state changes.
-  moved_scratch_.clear();
-  placement_.swap_cells(a, b, &moved_scratch_);
-
-  marker_.begin();
-  for (CellId cell : moved_scratch_) marker_.add_nets_of(*topology_, cell);
-
-  change_scratch_.clear();
-  probe_delta_ = hpwl_.probe_nets(marker_.nets(), &box_scratch_, &change_scratch_);
-
-  // Mirror objectives()/cost() term by term: `total_ + delta` is the exact
-  // expression update_nets() folds into the running total, and peek_delta
-  // replays the apply_net_change/max_delay sequence on scratch sums.
-  Objectives o;
-  o.wirelength = hpwl_.total() + probe_delta_;
-  o.delay = timer_.peek_delta(change_scratch_);
-  o.area = placement_.max_row_extent() * placement_.layout().core_height();
-  const double probed_cost = goals_.cost(o);
-
-  placement_.swap_cells(a, b);  // restore geometry
-  probe_a_ = a;
-  probe_b_ = b;
-  probe_valid_ = true;
-  return probed_cost;
+  const Move move{a, b};
+  double probed = 0.0;
+  probe_batch({&move, 1}, {&probed, 1});
+  return probed;
 }
 
 void Evaluator::probe_batch(std::span<const Move> moves,
                             std::span<double> costs) {
   PTS_DCHECK(costs.size() == moves.size());
-  // A batch leaves no pending probe (its scratch is per-candidate, not
-  // per-pair); winners commit through commit_swap's apply_swap fallback,
-  // which is bit-identical by contract.
   probe_valid_ = false;
-
-  // The timing replay only folds nets that lie on a monitored path; any
-  // other net's NetChange is an exact no-op in peek_delta's sum (its
-  // paths_of_net slice is empty — no arithmetic, not even a +0.0). Keeping
-  // only path-relevant changes therefore leaves every delay bit unchanged
-  // while giving the concatenated buffer a true static bound —
-  // width × num_path_nets — so steady state never reallocates, matching
-  // the ctor's worst-case-up-front sizing contract. (The unfiltered bound
-  // would be width × num_nets, content-dependent in practice: one unlucky
-  // batch past the high-water mark would allocate mid-search.)
-  const timing::PathSet& pset = timer_.paths();
-  const std::size_t max_changes = moves.size() * pset.num_path_nets();
-  if (batch_changes_.capacity() < max_changes) {
-    batch_changes_.reserve(max_changes);
-  }
+  if (moves.empty()) return;
   const auto px = placement_.positions_x();
   const auto py = placement_.positions_y();
-  if (shadow_x_.empty()) {
-    // Lazy materialization: this call is the shadow's warm-up.
-    shadow_x_.assign(px.begin(), px.end());
-    shadow_y_.assign(py.begin(), py.end());
-  }
-
-  batch_changes_.clear();
-  batch_offsets_.clear();
-  batch_offsets_.push_back(0);
-  batch_objs_.resize(moves.size());
   const double area_scale = placement_.layout().core_height();
+  const std::size_t last = moves.size() - 1;
 
-  for (std::size_t i = 0; i < moves.size(); ++i) {
+  for (std::size_t i = 0; i <= last; ++i) {
     // Swap-free scoring: describe the would-be geometry as an overlay, mark
     // the touched nets in the exact order a real swap would report moved
     // cells, stage the overlaid coordinates of those cells into the shadow
-    // arrays (O(moved) writes), and recompute the touched boxes with the
-    // plain-load kernel. The shadow is restored to the committed positions
-    // before the next candidate.
+    // arrays (O(moved) writes), and recompute the touched boxes. The shadow
+    // is restored to the committed positions before the next candidate.
     moved_scratch_.clear();
     const placement::SwapOverlay ov = placement::build_swap_overlay(
         placement_, moves[i].a, moves[i].b, &moved_scratch_);
@@ -137,38 +89,39 @@ void Evaluator::probe_batch(std::span<const Move> moves,
                                    &shadow_x_[cell], &shadow_y_[cell]);
     }
 
+    // Only the last candidate keeps its boxes: its scratch is what
+    // commit_probe() promotes.
     change_scratch_.clear();
-    const double delta = hpwl_.probe_nets_batch(shadow_x_, shadow_y_,
-                                                marker_.nets(),
-                                                &change_scratch_);
+    probe_delta_ = hpwl_.probe_nets(shadow_x_, shadow_y_, marker_.nets(),
+                                    &change_scratch_,
+                                    i == last ? &box_scratch_ : nullptr);
     for (CellId cell : moved_scratch_) {
       shadow_x_[cell] = px[cell];
       shadow_y_[cell] = py[cell];
     }
-    for (const auto& change : change_scratch_) {
-      if (pset.net_on_path(change.net)) batch_changes_.push_back(change);
-    }
-    batch_offsets_.push_back(static_cast<std::uint32_t>(batch_changes_.size()));
-    batch_objs_[i].wirelength = hpwl_.total() + delta;
-    batch_objs_[i].area = ov.max_extent * area_scale;
-  }
 
-  batch_delays_.resize(moves.size());
-  timer_.peek_delta_batch(batch_changes_, batch_offsets_, batch_delays_);
-  for (std::size_t i = 0; i < moves.size(); ++i) {
-    batch_objs_[i].delay = batch_delays_[i];
+    // Mirror objectives()/cost() term by term: `total_ + delta` is the exact
+    // expression update_nets() folds into the running total, and peek_delta
+    // replays the apply_net_change/max_delay sequence on scratch sums.
+    Objectives o;
+    o.wirelength = hpwl_.total() + probe_delta_;
+    o.delay = timer_.peek_delta(change_scratch_);
+    o.area = ov.max_extent * area_scale;
+    costs[i] = goals_.cost(o);
   }
-  goals_.cost_batch(batch_objs_, costs);
+  probe_a_ = moves[last].a;
+  probe_b_ = moves[last].b;
+  probe_valid_ = true;
 }
 
 double Evaluator::commit_probe() {
   PTS_CHECK_MSG(probe_valid_,
-                "commit_probe() without an immediately preceding probe_swap()");
+                "commit_probe() without an immediately preceding probe");
   probe_valid_ = false;
   placement_.swap_cells(probe_a_, probe_b_);
-  // moved_scratch_ still holds the probe's moved set (the probe's restoring
-  // swap did not refill it, and probe_valid_ guarantees no intervening
-  // mutation) — the same cells just moved again.
+  // moved_scratch_ still holds the pending candidate's moved set (the
+  // overlay reported exactly the cells this swap just moved, and
+  // probe_valid_ guarantees no intervening mutation).
   refresh_shadow(moved_scratch_);
   hpwl_.commit_probe(marker_.nets(), box_scratch_, probe_delta_);
   timer_.commit_peek();
@@ -187,12 +140,10 @@ double Evaluator::commit_swap(CellId a, CellId b) {
 void Evaluator::reset_placement(const std::vector<CellId>& cell_at_slot) {
   probe_valid_ = false;
   placement_.assign_slots(cell_at_slot);
-  if (!shadow_x_.empty()) {
-    const auto px = placement_.positions_x();
-    const auto py = placement_.positions_y();
-    shadow_x_.assign(px.begin(), px.end());
-    shadow_y_.assign(py.begin(), py.end());
-  }
+  const auto px = placement_.positions_x();
+  const auto py = placement_.positions_y();
+  shadow_x_.assign(px.begin(), px.end());
+  shadow_y_.assign(py.begin(), py.end());
   rebuild_all();
 }
 
@@ -219,7 +170,6 @@ void Evaluator::restore_checkpoint(const CheckpointState& st) {
 }
 
 void Evaluator::refresh_shadow(std::span<const CellId> cells) {
-  if (shadow_x_.empty()) return;
   const auto px = placement_.positions_x();
   const auto py = placement_.positions_y();
   for (CellId c : cells) {

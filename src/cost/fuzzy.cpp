@@ -24,14 +24,6 @@ double FuzzyGoals::cost(const Objectives& objectives) const {
   return 1.0 - owa(beta, mu);
 }
 
-void FuzzyGoals::cost_batch(std::span<const Objectives> objectives,
-                            std::span<double> costs) const {
-  PTS_DCHECK(costs.size() == objectives.size());
-  for (std::size_t i = 0; i < objectives.size(); ++i) {
-    costs[i] = cost(objectives[i]);
-  }
-}
-
 double FuzzyGoals::quality(const Objectives& objectives) const {
   std::array<double, kNumObjectives> mu{};
   const auto values = objectives.as_array();

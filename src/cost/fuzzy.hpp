@@ -23,7 +23,6 @@
 
 #include <array>
 #include <cstddef>
-#include <span>
 
 #include "support/check.hpp"
 
@@ -82,13 +81,6 @@ struct FuzzyGoals {
 
   /// Scalar cost (minimized by the search): 1 - OWA of raw memberships.
   double cost(const Objectives& objectives) const;
-
-  /// Batched cost(): one OWA pass over N objective tuples. costs[i] is
-  /// bit-identical to cost(objectives[i]) — same membership arithmetic,
-  /// same min/mean fold — the batch form just keeps the goal/tolerance
-  /// constants live in registers across the whole batch.
-  void cost_batch(std::span<const Objectives> objectives,
-                  std::span<double> costs) const;
 
   /// Reported quality in [0, 1]: OWA of clamped memberships.
   double quality(const Objectives& objectives) const;

@@ -60,26 +60,19 @@ class SharedCompoundStrategy final : public tabu::CompoundStrategy {
 
       // Probe every trial against the current committed state. Probes are
       // state-independent of each other, so costs_[i] is the same number
-      // whichever thread computes it — and probe_batch is bit-identical to
-      // probe_swap per candidate, so the batch sub-chunking below changes
-      // no cost either. A thread scores its claimed range in sub-batches of
-      // the configured batch width (the same knob the sequential compound
-      // loop uses); batch <= 1 keeps the scalar path.
-      const std::size_t batch = params.batch;
+      // whichever thread computes it, in whatever sub-batch. A thread scores
+      // its claimed range in sub-batches of the configured batch width (the
+      // same knob the sequential compound loop uses; <= 1 means one
+      // candidate per call).
+      const std::size_t batch = std::max<std::size_t>(params.batch, 1);
       parallel_for_chunked(
           *pool_, 0, width, chunk,
           [this, batch](std::size_t worker, std::size_t lo, std::size_t hi) {
             cost::Evaluator& ev = synced_evaluator(worker);
-            if (batch > 1) {
-              for (std::size_t i = lo; i < hi; i += batch) {
-                const std::size_t n = std::min(batch, hi - i);
-                ev.probe_batch(std::span(cmoves_).subspan(i, n),
-                               std::span(costs_).subspan(i, n));
-              }
-            } else {
-              for (std::size_t i = lo; i < hi; ++i) {
-                costs_[i] = ev.probe_swap(moves_[i].a, moves_[i].b);
-              }
+            for (std::size_t i = lo; i < hi; i += batch) {
+              const std::size_t n = std::min(batch, hi - i);
+              ev.probe_batch(std::span(cmoves_).subspan(i, n),
+                             std::span(costs_).subspan(i, n));
             }
           });
 

@@ -19,13 +19,14 @@
 //  1. All candidate sampling happens on the coordinator, from the single
 //     search stream, before the parallel region — probes consume no RNG, so
 //     the draw order matches the sequential interleaved loop exactly.
-//  2. probe_swap changes no observable state and is bit-identical against
+//  2. probe_batch changes no observable state and is bit-identical against
 //     equal committed state (DESIGN.md §3), so each trial's cost does not
-//     depend on which thread probed it or in what order. Replicas replay
-//     every coordinator mutation (an op log of committed swaps) before
-//     probing, so their committed state is bit-identical to the
-//     coordinator's — including the periodic drift-control rebuild, which
-//     triggers at the same committed-swap count everywhere.
+//     depend on which thread probed it, in what sub-batch or in what
+//     order. Replicas replay every coordinator mutation (an op log of
+//     committed swaps) before probing, so their committed state is
+//     bit-identical to the coordinator's — including the periodic
+//     drift-control rebuild, which triggers at the same committed-swap
+//     count everywhere.
 //  3. The reduction runs on the coordinator in trial-index order with the
 //     sequential rule (first strict minimum wins) — reduction order is part
 //     of the API, exactly like summation order in the CSR layout (§7).

@@ -34,11 +34,12 @@ namespace pts::parallel {
 ///   CompoundMove r = clw.result();   // full if done, best prefix if cut
 ///   clw.abandon();                   // restore eval to the start solution
 ///
-/// One step = one trial swap, scored with Evaluator::probe_swap (a single
-/// incremental pass; the evaluator is untouched). When the last trial of a
-/// level completes, the level's best swap is committed as part of the same
-/// step (compound move construction, paper §3). Early accept fires as soon
-/// as a committed level improves on the start cost.
+/// One step = one trial swap, scored with Evaluator::probe_swap (a width-1
+/// probe_batch: a single incremental pass; the evaluator is untouched).
+/// When the last trial of a level completes, the level's best swap is
+/// committed as part of the same step (compound move construction, paper
+/// §3). Early accept fires as soon as a committed level improves on the
+/// start cost.
 class ClwSearch {
  public:
   ClwSearch(tabu::CellRange range, tabu::CompoundParams params);

@@ -45,38 +45,33 @@ double HpwlState::update_nets(std::span<const NetId> nets,
   return delta;
 }
 
-double HpwlState::probe_nets(std::span<const NetId> nets,
-                             std::vector<NetBox>* scratch,
-                             std::vector<NetChange>* changes) const {
-  PTS_DCHECK(scratch != nullptr);
-  scratch->resize(nets.size());
-  double delta = 0.0;
-  for (std::size_t i = 0; i < nets.size(); ++i) {
-    const NetId net = nets[i];
-    const double before = boxes_[net].half_perimeter();
-    (*scratch)[i] = compute_box(net);
-    const double after = (*scratch)[i].half_perimeter();
-    if (before == after) continue;
-    delta += topology_->net_weight(net) * (after - before);
-    if (changes != nullptr) changes->push_back({net, before, after});
-  }
-  return delta;
-}
-
-double HpwlState::probe_nets_batch(std::span<const double> xs,
-                                   std::span<const double> ys,
-                                   std::span<const NetId> nets,
-                                   std::vector<NetChange>* changes) const {
+double HpwlState::probe_nets(std::span<const double> xs,
+                             std::span<const double> ys,
+                             std::span<const NetId> nets,
+                             std::vector<NetChange>* changes,
+                             std::vector<NetBox>* kept) const {
   PTS_DCHECK(changes != nullptr);
   PTS_DCHECK(xs.size() == ys.size());
   const double* X = xs.data();
   const double* Y = ys.data();
 
   // Cursor-style change emission: write unconditionally, advance only when
-  // the half-perimeter moved. Same entries, same order as probe_nets().
+  // the half-perimeter moved. Same entries, same order as update_nets().
   std::size_t nc = changes->size();
   changes->resize(nc + nets.size());
   NetChange* out = changes->data();
+
+  // Kept boxes go through a raw cursor that advances one box per net; with
+  // no `kept` it parks on a local and never advances, so the loop carries
+  // no branch for the choice.
+  NetBox discard;
+  NetBox* box_out = &discard;
+  std::size_t box_step = 0;
+  if (kept != nullptr) {
+    kept->resize(nets.size());
+    box_out = kept->data();
+    box_step = 1;
+  }
 
   double delta = 0.0;
   for (NetId net : nets) {
@@ -84,7 +79,7 @@ double HpwlState::probe_nets_batch(std::span<const double> xs,
     const std::span<const netlist::CellId> pins = topology_->pins(net);
 
     // Driver-first init then min/max fold — compute_box()'s exact order,
-    // but against the caller's shadow arrays instead of the placement.
+    // but against the caller's position arrays instead of the placement.
     const netlist::CellId driver = pins.front();
     double min_x = X[driver], max_x = X[driver];
     double min_y = Y[driver], max_y = Y[driver];
@@ -94,11 +89,13 @@ double HpwlState::probe_nets_batch(std::span<const double> xs,
       min_y = std::min(min_y, Y[c]);
       max_y = std::max(max_y, Y[c]);
     }
+    *box_out = NetBox{min_x, max_x, min_y, max_y};
+    box_out += box_step;
 
     const double after = (max_x - min_x) + (max_y - min_y);
     // before == after contributes w * (+0.0) = +0.0, which never changes
     // the accumulator (no term is -0.0), so the unconditional add matches
-    // probe_nets()'s skip bit for bit.
+    // update_nets()'s skip bit for bit.
     delta += topology_->net_weight(net) * (after - before);
     out[nc] = NetChange{net, before, after};
     nc += static_cast<std::size_t>(before != after);
@@ -108,9 +105,9 @@ double HpwlState::probe_nets_batch(std::span<const double> xs,
 }
 
 void HpwlState::commit_probe(std::span<const NetId> nets,
-                             const std::vector<NetBox>& scratch, double delta) {
-  PTS_DCHECK(scratch.size() == nets.size());
-  for (std::size_t i = 0; i < nets.size(); ++i) boxes_[nets[i]] = scratch[i];
+                             const std::vector<NetBox>& kept, double delta) {
+  PTS_DCHECK(kept.size() == nets.size());
+  for (std::size_t i = 0; i < nets.size(); ++i) boxes_[nets[i]] = kept[i];
   total_ += delta;
 }
 

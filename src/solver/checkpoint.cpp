@@ -9,6 +9,7 @@
 #include "service/json.hpp"
 #include "support/check.hpp"
 #include "support/stopwatch.hpp"
+#include "timing/paths.hpp"
 
 namespace pts::solver {
 namespace {
@@ -144,6 +145,18 @@ json::Value stats_to_json(const tabu::SearchStats& s) {
   return obj;
 }
 
+// True when `slots` places every movable cell of `nl` exactly once (the
+// length is checked by the caller).
+bool is_movable_permutation(const netlist::Netlist& nl,
+                            const std::vector<netlist::CellId>& slots) {
+  std::vector<char> seen(nl.num_cells(), 0);
+  for (const netlist::CellId c : slots) {
+    if (c >= seen.size() || !nl.cell(c).movable() || seen[c]) return false;
+    seen[c] = 1;
+  }
+  return true;
+}
+
 }  // namespace
 
 CheckpointedSolve solve_with_checkpoint(const SolveSpec& spec) {
@@ -173,11 +186,34 @@ std::string check_resume_compatible(const SolveSpec& spec,
     return "circuit content hash mismatch: the checkpoint was taken against "
            "different circuit content";
   }
-  const std::size_t movable = spec.netlist->num_movable();
+  const netlist::Netlist& nl = *spec.netlist;
+  const std::size_t movable = nl.num_movable();
   if (checkpoint.eval.slots.size() != movable ||
       checkpoint.search.best_slots.size() != movable) {
     return "checkpoint slot vectors do not match the netlist's movable cell "
            "count";
+  }
+  // The remaining checks refuse what restoring would otherwise abort on.
+  if (!is_movable_permutation(nl, checkpoint.eval.slots)) {
+    return "checkpoint eval.slots is not a permutation of the movable cells";
+  }
+  if (!is_movable_permutation(nl, checkpoint.search.best_slots)) {
+    return "checkpoint search.best_slots is not a permutation of the movable "
+           "cells";
+  }
+  const auto& frequency = checkpoint.search.frequency;
+  if (frequency.counts.size() != nl.num_cells() ||
+      frequency.improving_counts.size() != nl.num_cells()) {
+    return "checkpoint frequency counts do not match the netlist's cell count";
+  }
+  if (spec.cost.num_paths >= 1) {
+    const auto paths = timing::extract_critical_paths(
+        nl, spec.cost.num_paths, spec.cost.delay_model);
+    if (checkpoint.eval.wire_sums.size() != paths->size()) {
+      return "checkpoint has " + std::to_string(checkpoint.eval.wire_sums.size()) +
+             " wire sums, the spec monitors " + std::to_string(paths->size()) +
+             " paths";
+    }
   }
   return {};
 }

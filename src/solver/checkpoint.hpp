@@ -66,7 +66,9 @@ struct CheckpointedSolve {
 CheckpointedSolve solve_with_checkpoint(const SolveSpec& spec);
 
 /// Empty string when `checkpoint` can resume under `spec` (same engine,
-/// seed, circuit content, movable-cell count); otherwise the reason.
+/// seed, circuit content, and engine state shaped for that circuit: slot
+/// vectors that are permutations of the movable cells, per-cell frequency
+/// counts, one wire sum per monitored path); otherwise the reason.
 std::string check_resume_compatible(const SolveSpec& spec,
                                     const Checkpoint& checkpoint);
 

@@ -5,10 +5,9 @@
 namespace pts::tabu {
 namespace {
 
-/// Per-level trial scratch for the batched scoring path. thread_local so
-/// the free-function call sites (every engine's workers call through here)
-/// stay allocation-free in steady state without threading a buffer through
-/// each signature.
+/// Per-level trial scratch. thread_local so the free-function call sites
+/// (every engine's workers call through here) stay allocation-free in
+/// steady state without threading a buffer through each signature.
 struct TrialScratch {
   std::vector<Move> moves;
   std::vector<cost::Move> cmoves;
@@ -21,53 +20,42 @@ TrialScratch& trial_scratch() {
 
 }  // namespace
 
-// The batched path draws every pair before probing — probes consume no
-// RNG, so the sample stream is identical to the interleaved scalar loop —
-// then scores chunks of `batch` candidates per Evaluator::probe_batch call.
+// Draws every pair before probing — probes consume no RNG, so the sample
+// stream is the one an interleaved sample/probe loop would read — then
+// scores chunks of `batch` candidates per Evaluator::probe_batch call.
 void best_of_trials(cost::Evaluator& eval,
                     std::span<const netlist::CellId> movable,
                     const CellRange& range, std::size_t width,
                     std::size_t batch, Rng& rng, const FrequencyMemory* memory,
                     bool use_memory, Move* best_out, double* best_cost_out) {
+  TrialScratch& scratch = trial_scratch();
+  scratch.moves.clear();
+  scratch.cmoves.clear();
+  for (std::size_t trial = 0; trial < width; ++trial) {
+    const Move move = sample_move(movable, range, rng);
+    scratch.moves.push_back(move);
+    scratch.cmoves.push_back({move.a, move.b});
+  }
+  scratch.costs.resize(width);
+  const std::size_t chunk = std::max<std::size_t>(batch, 1);
+  for (std::size_t i = 0; i < width; i += chunk) {
+    const std::size_t n = std::min(chunk, width - i);
+    eval.probe_batch(std::span(scratch.cmoves).subspan(i, n),
+                     std::span(scratch.costs).subspan(i, n));
+  }
+
   Move best{};
   double best_cost = 0.0;
   bool have_best = false;
-  if (batch > 1) {
-    TrialScratch& scratch = trial_scratch();
-    scratch.moves.clear();
-    scratch.cmoves.clear();
-    for (std::size_t trial = 0; trial < width; ++trial) {
-      const Move move = sample_move(movable, range, rng);
-      scratch.moves.push_back(move);
-      scratch.cmoves.push_back({move.a, move.b});
+  for (std::size_t trial = 0; trial < width; ++trial) {
+    double cost_after = scratch.costs[trial];
+    if (use_memory) {
+      cost_after = memory->adjusted_cost(scratch.moves[trial], cost_after);
     }
-    scratch.costs.resize(width);
-    for (std::size_t i = 0; i < width; i += batch) {
-      const std::size_t n = std::min(batch, width - i);
-      eval.probe_batch(std::span(scratch.cmoves).subspan(i, n),
-                       std::span(scratch.costs).subspan(i, n));
-    }
-    for (std::size_t trial = 0; trial < width; ++trial) {
-      double cost_after = scratch.costs[trial];
-      if (use_memory) {
-        cost_after = memory->adjusted_cost(scratch.moves[trial], cost_after);
-      }
-      if (!have_best || cost_after < best_cost) {
-        best = scratch.moves[trial];
-        best_cost = cost_after;
-        have_best = true;
-      }
-    }
-  } else {
-    for (std::size_t trial = 0; trial < width; ++trial) {
-      const Move move = sample_move(movable, range, rng);
-      double cost_after = eval.probe_swap(move.a, move.b);
-      if (use_memory) cost_after = memory->adjusted_cost(move, cost_after);
-      if (!have_best || cost_after < best_cost) {
-        best = move;
-        best_cost = cost_after;
-        have_best = true;
-      }
+    if (!have_best || cost_after < best_cost) {
+      best = scratch.moves[trial];
+      best_cost = cost_after;
+      have_best = true;
     }
   }
   PTS_CHECK(have_best);

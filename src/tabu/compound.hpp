@@ -1,11 +1,12 @@
 // Compound move construction (the candidate-list worker's core loop).
 //
 // Per the paper: a compound move is built over up to `depth` levels. At each
-// level, `width` candidate pairs are scored with Evaluator::probe_swap (one
+// level, `width` candidate pairs are scored with Evaluator::probe_batch (one
 // incremental pass per trial, no mutate-and-undo) and the best one is kept
-// and committed. If the running cost drops below the starting cost before
-// reaching max depth, the compound move is accepted immediately without
-// further investigation (early accept).
+// and committed — promoted from the probe scratch when it was the level's
+// last candidate, re-applied otherwise. If the running cost drops below the
+// starting cost before reaching max depth, the compound move is accepted
+// immediately without further investigation (early accept).
 //
 // On return the evaluator HAS the compound move applied; undo_compound()
 // reverts it (swaps are involutions, so undo re-applies them in reverse).
@@ -27,19 +28,20 @@ struct CompoundParams {
   /// Early accept: stop as soon as the cost improves on the start cost.
   bool early_accept = true;
   /// Candidate batch width for Evaluator::probe_batch: each level's trials
-  /// are scored in chunks of up to this many candidates. <= 1 scores one
-  /// probe_swap at a time. Either path yields bit-identical costs and
-  /// trajectories (probes consume no RNG, so drawing all pairs up front
-  /// reads the same sample stream; the reduction is the same
-  /// first-strict-min) — this knob is purely a throughput choice.
+  /// are scored in chunks of up to this many candidates (<= 1: chunks of
+  /// one). Every width yields bit-identical costs and trajectories (each
+  /// candidate is scored against the same committed state, and the
+  /// reduction is the same first-strict-min) — this knob is purely a
+  /// throughput choice.
   std::size_t batch = 8;
 };
 
-/// Samples `width` trial pairs from (movable, range, rng), scores them —
-/// through Evaluator::probe_batch in chunks of `batch` when batch > 1, one
-/// probe_swap at a time otherwise; bit-identical either way — and returns
-/// the first-strict-min winner and its cost (memory-adjusted for ranking
-/// when `use_memory`). Shared by the compound and diversification trial
+/// Samples `width` trial pairs from (movable, range, rng), scores them
+/// through Evaluator::probe_batch in chunks of `batch` (bit-identical for
+/// every chunk width) and returns the first-strict-min winner and its cost
+/// (memory-adjusted for ranking when `use_memory`). The last trial stays
+/// pending on `eval`, so commit_swap() of the winner promotes it when the
+/// last trial won. Shared by the compound and diversification trial
 /// loops; uses thread_local scratch, so steady state does not allocate.
 void best_of_trials(cost::Evaluator& eval,
                     std::span<const netlist::CellId> movable,

@@ -26,8 +26,8 @@ struct DiversifyParams {
   /// If false the step is skipped entirely (Figure 9's "no
   /// diversification" run).
   bool enabled = true;
-  /// Candidate batch width for Evaluator::probe_batch (<= 1: scalar
-  /// probe_swap per trial). Bit-identical either way; see CompoundParams.
+  /// Candidate batch width for Evaluator::probe_batch (<= 1: chunks of
+  /// one). Bit-identical for every width; see CompoundParams.
   std::size_t batch = 8;
 };
 

@@ -26,7 +26,6 @@ PathSet::PathSet(const netlist::Netlist& netlist, std::vector<TimingPath> paths)
     }
   }
   for (std::size_t n = 0; n < num_nets; ++n) {
-    if (net_path_offsets_[n + 1] > 0) ++num_path_nets_;
     net_path_offsets_[n + 1] += net_path_offsets_[n];
   }
   net_paths_.resize(net_path_offsets_.back());
@@ -136,18 +135,6 @@ double PathTimer::peek_delta(std::span<const placement::NetChange> changes) {
     best = std::max(best, const_delay_[p] + model_.wire_delay(peek_sum_[p]));
   }
   return best;
-}
-
-void PathTimer::peek_delta_batch(
-    std::span<const placement::NetChange> all_changes,
-    std::span<const std::uint32_t> offsets, std::span<double> out_delays) {
-  PTS_DCHECK(offsets.size() == out_delays.size() + 1);
-  for (std::size_t i = 0; i < out_delays.size(); ++i) {
-    PTS_DCHECK(offsets[i] <= offsets[i + 1] &&
-               offsets[i + 1] <= all_changes.size());
-    out_delays[i] =
-        peek_delta(all_changes.subspan(offsets[i], offsets[i + 1] - offsets[i]));
-  }
 }
 
 void PathTimer::commit_peek() { wire_sum_.swap(peek_sum_); }

@@ -60,24 +60,11 @@ class PathSet {
   /// TimingPath::const_delay), indexed by path.
   std::span<const double> const_delays() const { return const_delay_; }
 
-  /// True when at least one monitored path traverses `net` (O(1)). A net
-  /// for which this is false is an exact no-op in every wire-sum fold, so
-  /// callers may drop its NetChanges without perturbing any delay bit.
-  bool net_on_path(netlist::NetId net) const {
-    PTS_DCHECK(net_path_offsets_.size() > 0 &&
-               net < net_path_offsets_.size() - 1);
-    return net_path_offsets_[net + 1] > net_path_offsets_[net];
-  }
-  /// Number of distinct nets traversed by any monitored path — the per-swap
-  /// worst case for timing-relevant NetChanges (scratch sizing).
-  std::size_t num_path_nets() const { return num_path_nets_; }
-
  private:
   std::vector<TimingPath> paths_;
   std::vector<std::uint32_t> net_path_offsets_;  // num_nets + 1
   std::vector<std::uint32_t> net_paths_;         // flat reverse index
   std::vector<double> const_delay_;              // per path
-  std::size_t num_path_nets_ = 0;                // nets with >= 1 path
 };
 
 /// Extracts up to `k` monitored paths: per primary output, the critical
@@ -111,15 +98,6 @@ class PathTimer {
   /// apply_net_change() would and maxes in max_delay()'s loop order, so the
   /// result is bit-identical to the committed sequence.
   double peek_delta(std::span<const placement::NetChange> changes);
-
-  /// Batched peek_delta(): `all_changes` holds the concatenated NetChange
-  /// runs of N candidates, candidate i owning [offsets[i], offsets[i+1]);
-  /// `out_delays[i]` receives exactly what peek_delta(run_i) would return
-  /// (same scratch-copy, same fold order, same reduction — bit-identical).
-  /// offsets.size() must be out_delays.size() + 1.
-  void peek_delta_batch(std::span<const placement::NetChange> all_changes,
-                        std::span<const std::uint32_t> offsets,
-                        std::span<double> out_delays);
 
   /// Promotes the scratch sums of the immediately preceding peek_delta().
   /// Only valid directly after peek_delta() with no intervening mutation.

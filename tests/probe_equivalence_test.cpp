@@ -1,12 +1,14 @@
 // Probe/commit equivalence guard (DESIGN.md §3).
 //
 // The speculative trial-evaluation layer promises that Evaluator::probe_swap
-// returns a cost bit-identical to what apply_swap would have returned
-// against the same running totals, and that commit_probe leaves state
-// bit-identical to the equivalent apply_swap. Every trial loop in the system
-// (compound moves, diversification, both baselines, both parallel engines)
-// leans on these two properties for the same-seed determinism guarantee, so
-// they are asserted here with exact floating-point equality — no tolerances.
+// (the width-1 probe_batch) returns a cost bit-identical to what apply_swap
+// would have returned against the same running totals, and that committing
+// a batch winner — promoted when it is the pending last candidate, applied
+// otherwise — leaves state bit-identical to the equivalent apply_swap.
+// Every trial loop in the system (compound moves, diversification, both
+// baselines, both parallel engines) leans on these two properties for the
+// same-seed determinism guarantee, so they are asserted here with exact
+// floating-point equality — no tolerances.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -181,6 +183,61 @@ TEST(ProbeEquivalenceCommitSwap, PromotesPendingProbeOrApplies) {
   EXPECT_EQ(committing->placement().slots(), applying->placement().slots());
   EXPECT_EQ(committing->swaps_applied(), applying->swaps_applied());
 }
+
+// probe_batch leaves exactly its last candidate pending. A winner that is
+// the last candidate is promoted from that scratch (commit_probe accepts it,
+// which proves it was pending); any other winner falls back to apply_swap.
+// Both must leave state bit-identical to a twin that only uses apply_swap.
+class BatchCommit : public ::testing::TestWithParam<bool> {};
+
+TEST_P(BatchCommit, WinnerCommitMatchesApply) {
+  const bool winner_is_last = GetParam();
+  for (const char* name : {"c532", "c3540"}) {
+    SCOPED_TRACE(name);
+    const Netlist nl = netlist::make_benchmark(name);
+    const Layout layout(nl);
+    CostParams params;
+    params.rebuild_interval = 64;
+    auto committing = make_eval(nl, layout, 83, params);
+    auto applying = make_eval(nl, layout, 83, params);
+
+    Rng rng(89);
+    const auto& movable = nl.movable_cells();
+    std::vector<Move> moves(6);
+    std::vector<double> costs(moves.size());
+    for (int i = 0; i < 200; ++i) {
+      for (Move& m : moves) {
+        const auto [ia, ib] = rng.distinct_pair(movable.size());
+        m = {movable[ia], movable[ib]};
+      }
+      committing->probe_batch(moves, costs);
+      const std::size_t k =
+          winner_is_last ? moves.size() - 1
+                         : static_cast<std::size_t>(rng.below(moves.size() - 1));
+      const double via_apply = applying->apply_swap(moves[k].a, moves[k].b);
+      ASSERT_EQ(costs[k], via_apply) << "step " << i;
+      const double via_commit =
+          winner_is_last ? committing->commit_probe()
+                         : committing->commit_swap(moves[k].a, moves[k].b);
+      ASSERT_EQ(via_commit, via_apply) << "step " << i;
+      ASSERT_EQ(committing->hpwl().total(), applying->hpwl().total())
+          << "step " << i;
+    }
+    expect_same_objectives(*committing, *applying);
+    EXPECT_EQ(committing->placement().slots(), applying->placement().slots());
+    EXPECT_EQ(committing->swaps_applied(), applying->swaps_applied());
+    const auto a = committing->checkpoint();
+    const auto b = applying->checkpoint();
+    EXPECT_EQ(a.wire_sums, b.wire_sums);
+    EXPECT_EQ(a.swaps_since_rebuild, b.swaps_since_rebuild);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Winner, BatchCommit, ::testing::Values(true, false),
+                         [](const auto& info) {
+                           return std::string(info.param ? "LastPromoted"
+                                                         : "EarlierFallsBack");
+                         });
 
 // Pad-heavy nets keep fixed pad pins inside the recomputed boxes; swaps of
 // cells incident to pad-connected nets must round-trip just like any other.

@@ -10,9 +10,10 @@
 //     guarantees (exact gate/PI counts, >= requested POs, acyclic).
 //  2. Probe/commit: Evaluator::probe_swap is bit-identical to apply_swap
 //     along a random committed walk (DESIGN.md §3).
-//  3. Incremental HPWL: probe_nets == update_nets delta-for-delta and
-//     change-for-change, the running total tracks a from-scratch recompute,
-//     and rebuild() lands exactly on the fresh total.
+//  3. Incremental HPWL: probe_nets (with kept boxes) == a real swap plus
+//     update_nets box-for-box, delta-for-delta and change-for-change, the
+//     running total tracks a from-scratch recompute, and rebuild() lands
+//     exactly on the fresh total.
 //  4. Timing: PathTimer::peek_delta equals the committed
 //     apply_net_change/max_delay sequence bit for bit.
 //
@@ -217,12 +218,14 @@ TEST(PropertyFuzz, IncrementalHpwlAndPeekDeltaMatchRecompute) {
       marker.begin();
       for (CellId cell : moved) marker.add_nets_of(nl, cell);
 
-      // Probe the same nets the committed update will recompute, then
-      // commit; the probe's delta, per-net changes, and peeked delay must
+      // Probe the same nets against the swapped geometry (read as plain
+      // position arrays) before the committed update recomputes them; the
+      // probe's kept boxes, delta, per-net changes, and peeked delay must
       // equal the committed sequence exactly (the §3 contract).
       probe_changes.clear();
       const double probed_delta =
-          hpwl.probe_nets(marker.nets(), &boxes, &probe_changes);
+          hpwl.probe_nets(placement.positions_x(), placement.positions_y(),
+                          marker.nets(), &probe_changes, &boxes);
       const double peeked = timer.peek_delta(probe_changes);
 
       apply_changes.clear();
@@ -232,6 +235,14 @@ TEST(PropertyFuzz, IncrementalHpwlAndPeekDeltaMatchRecompute) {
       }
 
       ASSERT_EQ(probed_delta, applied_delta) << "swap " << i;
+      ASSERT_EQ(boxes.size(), marker.nets().size()) << "swap " << i;
+      for (std::size_t k = 0; k < boxes.size(); ++k) {
+        const placement::NetBox& committed = hpwl.net_box(marker.nets()[k]);
+        ASSERT_EQ(boxes[k].min_x, committed.min_x) << "swap " << i;
+        ASSERT_EQ(boxes[k].max_x, committed.max_x) << "swap " << i;
+        ASSERT_EQ(boxes[k].min_y, committed.min_y) << "swap " << i;
+        ASSERT_EQ(boxes[k].max_y, committed.max_y) << "swap " << i;
+      }
       ASSERT_EQ(probe_changes.size(), apply_changes.size()) << "swap " << i;
       for (std::size_t c = 0; c < probe_changes.size(); ++c) {
         ASSERT_EQ(probe_changes[c].net, apply_changes[c].net);
@@ -250,18 +261,22 @@ TEST(PropertyFuzz, IncrementalHpwlAndPeekDeltaMatchRecompute) {
   }
 }
 
-// -- property 5: probe_batch == N sequential probe_swap, bit for bit ---------
+// -- property 5: probe_batch == N apply/undo pairs, bit for bit --------------
 
-TEST(PropertyFuzz, ProbeBatchMatchesScalarBitForBit) {
+TEST(PropertyFuzz, ProbeBatchMatchesApplyUndoBitForBit) {
   for (const GeneratorConfig& config : fuzz_configs()) {
     SCOPED_TRACE(config.name + " gates=" + std::to_string(config.num_gates));
     const Netlist nl = netlist::generate_circuit(config);
     const placement::Layout layout(nl);
     // Two evaluators seeded identically: one scores through probe_batch,
-    // the other through sequential probe_swap. Their committed states must
-    // stay bit-identical round after round.
+    // the other takes each reference cost from a real apply_swap and is
+    // then put back exactly. The undo is a checkpoint restore rather than
+    // the involutive second apply_swap: pad coordinates are not dyadic, so
+    // an apply/undo pair can leave the running totals a few ulps off, and
+    // the reference must stay on the batch evaluator's exact state. Their
+    // committed states must stay bit-identical round after round.
     auto batch_eval = make_eval(nl, layout, config.seed ^ 0xBA7CULL);
-    auto scalar_eval = make_eval(nl, layout, config.seed ^ 0xBA7CULL);
+    auto ref_eval = make_eval(nl, layout, config.seed ^ 0xBA7CULL);
 
     // A gate on a pad-driven net, forced into every batch so nets with pad
     // pins (whose fixed positions an overlay must never shift) are always
@@ -304,25 +319,28 @@ TEST(PropertyFuzz, ProbeBatchMatchesScalarBitForBit) {
       // Bit-identity per candidate; track the first-strict-min winner the
       // way every candidate loop does.
       std::size_t best = 0;
+      const cost::Evaluator::CheckpointState before = ref_eval->checkpoint();
       for (std::size_t i = 0; i < moves.size(); ++i) {
-        const double scalar = scalar_eval->probe_swap(moves[i].a, moves[i].b);
-        ASSERT_EQ(batch_costs[i], scalar)
+        const double applied = ref_eval->apply_swap(moves[i].a, moves[i].b);
+        ref_eval->restore_checkpoint(before);
+        ASSERT_EQ(batch_costs[i], applied)
             << config.name << " round " << round << " candidate " << i;
         if (batch_costs[i] < batch_costs[best]) best = i;
       }
 
       // Batch-then-commit of the winning index: commit_swap promotes the
-      // scalar evaluator's pending probe only when the winner was the last
-      // candidate probed, so both commit paths get exercised — and both
-      // must leave bit-identical committed state.
+      // batch's pending last candidate only when it won, and falls back to
+      // apply_swap otherwise, so both commit paths get exercised — and both
+      // must leave state bit-identical to the reference's apply_swap.
       const double batch_committed =
           batch_eval->commit_swap(moves[best].a, moves[best].b);
-      const double scalar_committed =
-          scalar_eval->commit_swap(moves[best].a, moves[best].b);
-      ASSERT_EQ(batch_committed, scalar_committed)
+      const double ref_committed =
+          ref_eval->apply_swap(moves[best].a, moves[best].b);
+      ASSERT_EQ(batch_committed, ref_committed)
           << config.name << " round " << round;
-      ASSERT_EQ(batch_eval->hpwl().total(), scalar_eval->hpwl().total());
-      ASSERT_TRUE(batch_eval->placement() == scalar_eval->placement());
+      ASSERT_EQ(batch_eval->hpwl().total(), ref_eval->hpwl().total());
+      ASSERT_EQ(batch_eval->objectives().delay, ref_eval->objectives().delay);
+      ASSERT_TRUE(batch_eval->placement() == ref_eval->placement());
     }
   }
 }

@@ -12,6 +12,9 @@
 //  4. Oversubscribed worker counts (workers > movable cells) solve instead
 //     of aborting — on this engine and on the two TSW/CLW engines whose
 //     partition_cells ranges used to come out empty.
+//  5. The candidate batch width (compound.batch, diversify.batch) is a pure
+//     throughput knob: every width, including <= 1 and wider than the
+//     trial count, retraces the default-width run bit for bit.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -96,6 +99,59 @@ TEST(SharedEngine, TrajectoryIndependentOfThreadCount) {
     SCOPED_TRACE(threads);
     const auto many = Solver().solve(shared_spec(nl, threads));
     expect_identical_outcome(one, many);
+  }
+}
+
+// -- batch width is a throughput knob only ----------------------------------
+
+TEST(SharedEngine, CompoundBatchWidthDoesNotChangeTrajectory) {
+  for (const char* name : {"highway", "c532"}) {
+    SCOPED_TRACE(name);
+    const auto& nl = experiments::circuit(name);
+    SolveSpec reference_spec = shared_spec(nl, 1);
+    reference_spec.engine = "tabu";
+    const std::size_t width = reference_spec.tabu.compound.width;
+    ASSERT_EQ(reference_spec.tabu.compound.batch, 8u);
+    const auto reference = Solver().solve(reference_spec);
+    for (const std::size_t batch : {std::size_t{1}, std::size_t{3},
+                                    std::size_t{8}, width + 1}) {
+      for (const char* engine : {"tabu", "parallel-shared"}) {
+        SCOPED_TRACE(std::string(engine) + " batch=" + std::to_string(batch));
+        SolveSpec spec = shared_spec(nl, 2);
+        spec.engine = engine;
+        spec.tabu.compound.batch = batch;
+        expect_identical_outcome(reference, Solver().solve(spec));
+      }
+    }
+  }
+}
+
+TEST(SharedEngine, DiversifyBatchWidthDoesNotChangeTrajectory) {
+  // Diversification runs on the TSW engines; the virtual-time one is
+  // deterministic, so its whole run is comparable bit for bit.
+  for (const char* name : {"highway", "c532"}) {
+    SCOPED_TRACE(name);
+    const auto& nl = experiments::circuit(name);
+    SolveSpec spec = experiments::base_spec(nl, "parallel-sim", /*seed=*/11,
+                                            /*quick=*/true);
+    spec.parallel.num_tsws = 2;
+    spec.parallel.clws_per_tsw = 2;
+    spec.parallel.global_iterations = 3;
+    spec.parallel.local_iterations = 3;
+    ASSERT_EQ(spec.parallel.diversify.batch, 8u);
+    const std::size_t width = spec.parallel.diversify.width;
+    const auto reference = Solver().solve(spec);
+    for (const std::size_t batch : {std::size_t{1}, std::size_t{3},
+                                    std::size_t{8}, width + 1}) {
+      SCOPED_TRACE("batch=" + std::to_string(batch));
+      SolveSpec varied = spec;
+      varied.parallel.diversify.batch = batch;
+      const auto result = Solver().solve(varied);
+      EXPECT_EQ(result.best_cost, reference.best_cost);
+      EXPECT_EQ(result.best_slots, reference.best_slots);
+      expect_same_y(result.best_vs_global, reference.best_vs_global);
+      expect_same_y(result.best_vs_time, reference.best_vs_time);
+    }
   }
 }
 

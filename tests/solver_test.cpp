@@ -737,6 +737,70 @@ TEST(SolverCheckpoint, CheckpointJsonRoundTripsAndRejectsGarbage) {
   EXPECT_NE(check_resume_compatible(other_circuit, solve.checkpoint), "");
 }
 
+// A checkpoint that decodes cleanly can still describe engine state that
+// restoring would abort on; check_resume_compatible must name each defect.
+class ResumeRefusesMalformedState : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    spec_.engine = "tabu";
+    spec_.netlist = &nl_;
+    spec_.seed = 9;
+    spec_.tabu.iterations = 20;
+    good_ = solve_with_checkpoint(spec_).checkpoint;
+    ASSERT_EQ(check_resume_compatible(spec_, good_), "");
+    ASSERT_GE(good_.eval.slots.size(), 2u);
+    ASSERT_FALSE(nl_.pad_cells().empty());
+  }
+
+  const netlist::Netlist& nl_ = experiments::circuit("highway");
+  SolveSpec spec_;
+  Checkpoint good_;
+};
+
+TEST_F(ResumeRefusesMalformedState, DuplicateCellInEvalSlots) {
+  Checkpoint bad = good_;
+  bad.eval.slots[1] = bad.eval.slots[0];
+  EXPECT_NE(check_resume_compatible(spec_, bad), "");
+}
+
+TEST_F(ResumeRefusesMalformedState, PadCellInEvalSlots) {
+  Checkpoint bad = good_;
+  bad.eval.slots[0] = nl_.pad_cells()[0];
+  EXPECT_NE(check_resume_compatible(spec_, bad), "");
+}
+
+TEST_F(ResumeRefusesMalformedState, DuplicateCellInBestSlots) {
+  Checkpoint bad = good_;
+  bad.search.best_slots[1] = bad.search.best_slots[0];
+  EXPECT_NE(check_resume_compatible(spec_, bad), "");
+}
+
+TEST_F(ResumeRefusesMalformedState, PadCellInBestSlots) {
+  Checkpoint bad = good_;
+  bad.search.best_slots[0] = nl_.pad_cells()[0];
+  EXPECT_NE(check_resume_compatible(spec_, bad), "");
+}
+
+TEST_F(ResumeRefusesMalformedState, WrongLengthFrequencyCounts) {
+  Checkpoint bad = good_;
+  bad.search.frequency.counts.pop_back();
+  EXPECT_NE(check_resume_compatible(spec_, bad), "");
+}
+
+TEST_F(ResumeRefusesMalformedState, WrongLengthImprovingCounts) {
+  Checkpoint bad = good_;
+  bad.search.frequency.improving_counts.push_back(0);
+  EXPECT_NE(check_resume_compatible(spec_, bad), "");
+}
+
+TEST_F(ResumeRefusesMalformedState, WrongLengthWireSums) {
+  Checkpoint bad = good_;
+  bad.eval.wire_sums.push_back(0.0);
+  EXPECT_NE(check_resume_compatible(spec_, bad), "");
+  bad.eval.wire_sums.resize(good_.eval.wire_sums.size() - 1);
+  EXPECT_NE(check_resume_compatible(spec_, bad), "");
+}
+
 TEST(SolverCheckpoint, ColdSolveWithCheckpointMatchesSolver) {
   const auto& nl = experiments::circuit("highway");
   SolveSpec spec;
