@@ -1,7 +1,7 @@
 // Micro-benchmarks (google-benchmark) for the search inner loop: swap
-// evaluation, compound construction, HPWL/STA rebuilds, message codec, and
-// one simulated local iteration. Not a paper figure — engineering data for
-// the ablation discussion in DESIGN.md.
+// evaluation, compound construction, HPWL/STA rebuilds, and one simulated
+// local iteration. Not a paper figure — engineering data for the ablation
+// discussion in DESIGN.md.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -10,7 +10,6 @@
 
 #include "cost/evaluator.hpp"
 #include "experiments/workloads.hpp"
-#include "parallel/protocol.hpp"
 #include "parallel/worker_logic.hpp"
 #include "tabu/compound.hpp"
 #include "timing/sta.hpp"
@@ -386,18 +385,6 @@ void BM_ExactSta(benchmark::State& state) {
   state.SetLabel(nl.name());
 }
 BENCHMARK(BM_ExactSta)->DenseRange(0, 3);
-
-void BM_MessageRoundTrip(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  std::vector<std::uint32_t> slots(n);
-  for (std::size_t i = 0; i < n; ++i) slots[i] = static_cast<std::uint32_t>(i);
-  for (auto _ : state) {
-    pvm::Message msg = parallel::make_init(slots);
-    benchmark::DoNotOptimize(parallel::decode_init(msg).size());
-  }
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations() * n * 4));
-}
-BENCHMARK(BM_MessageRoundTrip)->Arg(56)->Arg(395)->Arg(2243);
 
 void BM_SimFullSearch(benchmark::State& state) {
   const auto& nl = circuit_for(static_cast<int>(state.range(0)));

@@ -14,12 +14,11 @@
 namespace {
 
 constexpr const char kUsage[] =
-    "usage: quickstart [--engine parallel-sim | --threaded] [--circuit c532]\n"
+    "usage: quickstart [--engine parallel-sim] [--circuit c532]\n"
     "                  [--tsws 4] [--clws 2] [--seed 7] [--full] [--progress]\n"
     "                  [--max-seconds S] [--target-cost C] [--list-engines]\n"
     "                  [--help]\n"
-    "engines: any registry entry printed by --list-engines; --threaded is\n"
-    "shorthand for --engine parallel-threaded.\n";
+    "engines: any registry entry printed by --list-engines.\n";
 
 class PrintProgress : public pts::Observer {
  public:
@@ -48,8 +47,7 @@ int main(int argc, char** argv) {
   }
 
   const std::string circuit_name = cli.get("circuit", "c532");
-  std::string engine = cli.get("engine", "parallel-sim");
-  if (cli.get_flag("threaded")) engine = "parallel-threaded";
+  const std::string engine = cli.get("engine", "parallel-sim");
   const auto seed = static_cast<std::uint64_t>(cli.get_int("seed", 7));
   const bool full = cli.get_flag("full");
   const auto tsws = static_cast<std::size_t>(cli.get_int("tsws", 4));

@@ -15,9 +15,8 @@
 
 namespace pts::parallel {
 
-/// Work-unit accounting used by the virtual-time engine and by charge()
-/// calls in the threaded engine. The unit is "one candidate trial swap";
-/// everything else is expressed relative to it.
+/// Work-unit accounting of the virtual-time engine. The unit is "one
+/// candidate trial swap"; everything else is expressed relative to it.
 struct SimCosts {
   /// Work per CLW trial (apply + evaluate + undo one swap).
   double trial_work = 1.0;
@@ -85,10 +84,6 @@ struct PtsConfig {
   /// ablates. Default false: each worker gets an independent stream.
   bool shared_tsw_streams = false;
 
-  /// Real-time throttling for the threaded engine (seconds of sleep per
-  /// work unit at speed 1.0); 0 disables.
-  double threaded_seconds_per_unit = 0.0;
-
   /// Scripted TSW stall/death faults replayed by the sim engine (see
   /// support/fault.hpp and SimEngine docs). Empty: the engine takes its
   /// historical fault-free path, bit-identical to the goldens.
@@ -108,7 +103,7 @@ struct PtsResult {
   cost::Objectives best_objectives;
   std::vector<netlist::CellId> best_slots;
 
-  /// Virtual (sim) or wall (threaded) seconds from start to final collect.
+  /// Virtual seconds from start to final collect.
   double makespan = 0.0;
   /// Global-best improvement trajectory over time; starts at (0, initial).
   Series best_vs_time;
@@ -117,7 +112,7 @@ struct PtsResult {
   /// Aggregated TSW statistics.
   tabu::SearchStats stats;
   /// Completed unless a caller-supplied stop condition fired first (stop
-  /// checks run at global-iteration granularity in both engines).
+  /// checks run at global-iteration granularity).
   StopReason stop_reason = StopReason::Completed;
   /// TSWs the master declared dead (missed their report deadline) and
   /// whose cell ranges were redistributed; 0 on fault-free runs.

@@ -1,14 +1,14 @@
 // Shared-memory parallel tabu search (the "parallel-shared" backend).
 //
-// The paper's decomposition is reproduced faithfully over a PVM-style
-// message protocol (SimEngine / ThreadedEngine); on one machine that
-// protocol is pure overhead. This engine instead runs the *sequential*
+// The paper's message-passing decomposition is reproduced faithfully in
+// virtual time (SimEngine); on one shared-memory machine that protocol is
+// pure overhead. This engine instead runs the *sequential*
 // tabu search (TabuSearch, Figure 1) and parallelizes the one hot spot
 // every iteration has: the width-many candidate probes of each compound
 // level. Worker threads share the read-only CSR Topology and each own a
 // private Evaluator replica; trials are distributed with the atomic-counter
 // parallel-for in support/parallel_for.hpp (chunked grabs for cache
-// locality) instead of mailbox messages. See DESIGN.md §8.
+// locality) instead of messages. See DESIGN.md §8.
 //
 // Determinism contract — stronger than "deterministic for a fixed thread
 // count": the cost trajectory is *independent of the thread count*, and the

@@ -13,7 +13,7 @@ SimEngine::SimEngine(const netlist::Netlist& netlist, const PtsConfig& config)
   const auto& cfg = setup_.config;
   Rng root(cfg.seed ^ 0x9e3779b97f4a7c15ULL);
 
-  // Task -> machine binding mirrors the threaded engine's spawn order:
+  // Task -> machine binding follows the paper's spawn order (Figures 2-4):
   // task 0 = master, tasks 1..T = TSWs, then each TSW's CLWs in TSW order.
   // Contention: tasks sharing a machine time-share it in proportion to how
   // busy they are — CLWs compute continuously (activity weight 1.0), TSWs

@@ -1,9 +1,10 @@
 // Deterministic virtual-time engine for the parallel tabu search.
 //
-// Executes exactly the algorithm of the threaded engine — same worker state
-// machines, same selection/tabu logic, same collection policies — but on a
-// discrete-event virtual clock instead of real threads. Every CLW trial is
-// charged `trial_work / machine_speed` (jittered) virtual seconds on the
+// Executes the paper's TSW/CLW message-passing algorithm — the worker state
+// machines of worker_logic.hpp, the paper's selection/tabu logic and
+// collection policies — on a discrete-event virtual clock instead of a
+// cluster of workstations. Every CLW trial is charged
+// `trial_work / machine_speed` (jittered) virtual seconds on the
 // machine the task is bound to; the half-force policy cuts stragglers at
 // the exact virtual instant the threshold report count is reached, and a
 // cut CLW reports the best compound prefix it had completed *by that

@@ -141,7 +141,6 @@ std::size_t TswState::apply_diversification() {
 
 int TswState::process_candidates(const std::vector<CompoundMove>& candidates) {
   ++stats_.iterations;
-  last_applied_.clear();
 
   int best_index = -1;
   for (std::size_t i = 0; i < candidates.size(); ++i) {
@@ -171,7 +170,6 @@ int TswState::process_candidates(const std::vector<CompoundMove>& candidates) {
   }
   tabu::record_compound(list_, winner);
   ++stats_.accepted;
-  last_applied_ = winner.swaps;
 
   const double cost = eval_->cost();
   if (cost < iter_best_cost_) {

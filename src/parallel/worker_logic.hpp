@@ -1,14 +1,10 @@
-// Engine-agnostic worker state machines.
+// Worker state machines of the TSW/CLW decomposition.
 //
 // The candidate-list worker (ClwSearch) and the tabu-search worker
-// bookkeeping (TswState) are written as explicit step/transaction objects
-// so the *same* algorithm runs under both engines:
-//
-//  - the ThreadedEngine drives them from blocking mailbox loops on real
-//    threads (checking for ForceReport between steps);
-//  - the SimEngine drives them from a discrete-event scheduler, charging
-//    each step to a machine profile in virtual time and cutting stragglers
-//    at the exact virtual cutoff instant.
+// bookkeeping (TswState) are written as explicit step/transaction objects,
+// separate from any clock: the SimEngine drives them from a discrete-event
+// scheduler, charging each step to a machine profile in virtual time and
+// cutting stragglers at the exact virtual cutoff instant.
 //
 // See DESIGN.md §5.
 #pragma once
@@ -30,9 +26,10 @@ namespace pts::parallel {
 ///
 /// Usage per local iteration:
 ///   clw.begin(eval, rng);
-///   while (!clw.done() && !force_requested) clw.step();
-///   CompoundMove r = clw.result();   // full if done, best prefix if cut
+///   while (!clw.done()) clw.step();
 ///   clw.abandon();                   // restore eval to the start solution
+///   CompoundMove r = clw.result();   // the full investigation, or
+///   CompoundMove c = clw.result_at_step(k);  // best prefix if cut at k
 ///
 /// One step = one trial swap, scored with Evaluator::probe_swap (a width-1
 /// probe_batch: a single incremental pass; the evaluator is untouched).
@@ -43,8 +40,6 @@ namespace pts::parallel {
 class ClwSearch {
  public:
   ClwSearch(tabu::CellRange range, tabu::CompoundParams params);
-
-  const tabu::CellRange& range() const { return range_; }
 
   /// Starts a new investigation from `eval`'s current solution.
   void begin(cost::Evaluator& eval, Rng& rng);
@@ -117,8 +112,6 @@ class TswState {
            const tabu::DiversifyParams& diversify_params,
            tabu::CellRange diversify_range, Rng rng);
 
-  cost::Evaluator& evaluator() { return *eval_; }
-  Rng& rng() { return rng_; }
   tabu::TabuList& tabu_list() { return list_; }
   const tabu::SearchStats& stats() const { return stats_; }
 
@@ -139,10 +132,6 @@ class TswState {
   /// the evaluator and records them in the tabu list.
   /// Returns the accepted candidate index, or -1 if rejected / all empty.
   int process_candidates(const std::vector<tabu::CompoundMove>& candidates);
-
-  /// Swaps applied by the last accepted candidate (empty if rejected);
-  /// the engines forward these to the CLWs as sync deltas.
-  const std::vector<tabu::Move>& last_applied() const { return last_applied_; }
 
   /// Ends a local iteration at time `now` (engine clock); snapshots the
   /// best solution if it improved during this iteration.
@@ -181,7 +170,6 @@ class TswState {
   double iter_best_cost_ = 0.0;
   std::vector<netlist::CellId> iter_best_slots_;
   bool improved_since_snapshot_ = false;
-  std::vector<tabu::Move> last_applied_;
   std::vector<tabu::Move> diversify_scratch_;  ///< reused move buffer
   std::vector<BestSnapshot> snapshots_;
 };

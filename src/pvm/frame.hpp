@@ -1,5 +1,5 @@
-// Length-prefixed wire framing for Message — the byte-stream counterpart of
-// the mailbox transport, used by the ptsd serving layer (src/service/).
+// Length-prefixed wire framing for Message over a byte stream, used by the
+// ptsd serving layer (src/service/).
 //
 // A frame is a fixed 12-byte header followed by the Message payload bytes:
 //

@@ -3,9 +3,9 @@
 // The paper runs on a parallel virtual machine of 12 workstations: seven
 // high-speed, three medium-speed and two low-speed. We emulate that cluster
 // with per-machine profiles: a task bound to a machine of speed `s`
-// consumes `units / s` (virtual or throttled-real) seconds for `units` of
-// work, optionally perturbed by a lognormal-ish load jitter that models
-// other users' load on a shared LAN workstation.
+// consumes `units / s` virtual seconds for `units` of work, optionally
+// perturbed by a lognormal-ish load jitter that models other users' load on
+// a shared LAN workstation.
 #pragma once
 
 #include <cstdint>

@@ -15,10 +15,6 @@
 
 namespace pts::pvm {
 
-/// Task identifier within a VirtualMachine (0 is the spawning host task).
-using TaskId = std::int32_t;
-inline constexpr TaskId kNoTask = -1;
-
 /// Public mirror of the private field markers, used by the hardened decode
 /// path (peek_field / validate_layout): code that consumes untrusted bytes
 /// checks the next field's type before unpacking it, so a schema mismatch
@@ -44,8 +40,6 @@ class Message {
 
   int tag() const { return tag_; }
   void set_tag(int tag) { tag_ = tag; }
-  TaskId sender() const { return sender_; }
-  void set_sender(TaskId sender) { sender_ = sender; }
 
   std::size_t byte_size() const { return buffer_.size(); }
   bool fully_consumed() const { return cursor_ == buffer_.size(); }
@@ -59,11 +53,12 @@ class Message {
   static Message from_payload(int tag, std::vector<std::uint8_t> payload);
 
   // -- hardened decode (untrusted input) ------------------------------------
-  // unpack_* PTS_CHECK-aborts on a malformed buffer — correct for intra-
-  // process mailboxes where a mismatch is a programming error, fatal for a
-  // daemon fed attacker-controlled bytes. Untrusted consumers first call
-  // validate_layout() (every field complete and in-bounds), then gate each
-  // unpack on peek_field(); after both checks no unpack_* can abort.
+  // unpack_* PTS_CHECK-aborts on a malformed buffer — correct for bytes
+  // this process packed itself, where a mismatch is a programming error,
+  // fatal for a daemon fed attacker-controlled bytes. Untrusted consumers
+  // first call validate_layout() (every field complete and in-bounds), then
+  // gate each unpack on peek_field(); after both checks no unpack_* can
+  // abort.
 
   /// Type of the next unread field without consuming it; Field::None at the
   /// end of the buffer or on an unrecognized marker byte.
@@ -123,7 +118,6 @@ class Message {
   }
 
   int tag_ = 0;
-  TaskId sender_ = kNoTask;
   std::vector<std::uint8_t> buffer_;
   std::size_t cursor_ = 0;
 };

@@ -513,11 +513,10 @@ std::optional<solver::SolveResult> result_from_json(const json::Value& value,
 
 bool spec_cacheable(const JobRequest& job) {
   // A wall-clock stop condition makes the outcome depend on machine speed
-  // and load; every other stop reason is a pure function of the spec.
-  if (job.spec.stop.max_seconds > 0.0) return false;
-  // parallel-threaded races real threads (benches use parallel-sim for the
-  // deterministic trajectory); every other engine is deterministic per spec.
-  return job.spec.engine != "parallel-threaded";
+  // and load; every other stop reason is a pure function of the spec. No
+  // engine is special-cased: every registered engine is deterministic per
+  // spec (determinism_test solves each one twice and pins bit-identity).
+  return job.spec.stop.max_seconds <= 0.0;
 }
 
 std::string cache_key(const JobRequest& job, std::uint64_t circuit_hash) {

@@ -13,7 +13,7 @@
 // cost model keep their defaults (they shape the emulation experiments, not
 // a served solve; extend the schema here if that changes).
 //
-// Doubles round-trip bit-exactly through service/json.hpp, so
+// Doubles round-trip bit-exactly through support/json.hpp, so
 // decode(encode(result)) == result field-for-field — the property behind
 // the daemon-vs-direct bit-identity guarantee (tests/service_test.cpp).
 #pragma once
@@ -23,8 +23,8 @@
 #include <string>
 #include <string_view>
 
-#include "service/json.hpp"
 #include "solver/solver.hpp"
+#include "support/json.hpp"
 
 namespace pts::service {
 

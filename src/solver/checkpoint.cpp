@@ -6,15 +6,13 @@
 #include <utility>
 
 #include "netlist/io.hpp"
-#include "service/json.hpp"
 #include "support/check.hpp"
+#include "support/json.hpp"
 #include "support/stopwatch.hpp"
 #include "timing/paths.hpp"
 
 namespace pts::solver {
 namespace {
-
-namespace json = service::json;
 
 // ---------------------------------------------------------------------------
 // Trace splicing.

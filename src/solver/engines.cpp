@@ -10,7 +10,6 @@
 #include "baselines/local_search.hpp"
 #include "parallel/shared_engine.hpp"
 #include "parallel/sim_engine.hpp"
-#include "parallel/threaded_engine.hpp"
 #include "solver/solver.hpp"
 #include "support/stopwatch.hpp"
 #include "tabu/search.hpp"
@@ -281,30 +280,6 @@ class ParallelSimEngine final : public Engine {
   }
 };
 
-class ParallelThreadedEngine final : public Engine {
- public:
-  std::string_view name() const override { return "parallel-threaded"; }
-  std::string_view description() const override {
-    return "TSW/CLW parallel tabu search on the PVM-like threaded runtime";
-  }
-
-  void validate(const SolveSpec& spec,
-                std::vector<std::string>& errors) const override {
-    validate_parallel(spec, errors);
-    if (spec.parallel.threaded_seconds_per_unit < 0.0) {
-      errors.push_back("parallel.threaded_seconds_per_unit must be >= 0");
-    }
-  }
-
-  SolveResult solve(const SolveSpec& spec) const override {
-    parallel::ThreadedEngine engine(*spec.netlist,
-                                    effective_parallel_config(spec));
-    SolveResult out;
-    map_pts_result(out, engine.run(RunControl{spec.stop, spec.observer}));
-    return out;
-  }
-};
-
 class ParallelSharedEngine final : public Engine {
  public:
   std::string_view name() const override { return "parallel-shared"; }
@@ -402,7 +377,6 @@ std::vector<std::unique_ptr<Engine>> make_builtin_engines() {
   engines.push_back(std::make_unique<LocalSearchEngine>());
   engines.push_back(std::make_unique<ConstructiveEngine>());
   engines.push_back(std::make_unique<ParallelSimEngine>());
-  engines.push_back(std::make_unique<ParallelThreadedEngine>());
   engines.push_back(std::make_unique<ParallelSharedEngine>());
   return engines;
 }

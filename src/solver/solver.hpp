@@ -16,8 +16,11 @@
 //   "local"             steepest-descent local-search baseline
 //   "constructive"      greedy constructive placement (no search)
 //   "parallel-sim"      TSW/CLW decomposition, deterministic virtual time
-//   "parallel-threaded" TSW/CLW decomposition on the PVM-like runtime
 //   "parallel-shared"   shared-memory threads over the CSR topology
+//
+// Every built-in engine is deterministic: the same spec gives bit-identical
+// slots, costs, stats and traces (engine-clock x values aside), pinned for
+// the whole registry by tests/determinism_test.cpp.
 //
 // The spec is validated before anything runs: Solver::validate() returns
 // the full list of problems (empty = valid) so callers can report them;
@@ -40,7 +43,7 @@
 //   engine search rng     = Rng(spec.seed ^ kSearchStreamSalt)
 // The parallel engines receive spec.parallel with the shared seed/cost/tabu
 // blocks overridden (see SolveSpec::parallel) and derive worker streams
-// from PtsConfig exactly as the direct SimEngine/ThreadedEngine runs do.
+// from PtsConfig exactly as a direct SimEngine run does.
 #pragma once
 
 #include <cstdint>
@@ -68,7 +71,7 @@ inline constexpr std::uint64_t kSearchStreamSalt = 0x7365'6172'6368'2d73ULL;
 /// is read; the shared fields apply to every engine.
 struct SolveSpec {
   /// Registry key ("tabu", "anneal", "local", "constructive",
-  /// "parallel-sim", "parallel-threaded", or a custom registered engine).
+  /// "parallel-sim", "parallel-shared", or a custom registered engine).
   std::string engine = "tabu";
   /// Circuit to place; must outlive the call and its results.
   const netlist::Netlist* netlist = nullptr;
@@ -93,7 +96,7 @@ struct SolveSpec {
   tabu::TabuParams tabu;
   baselines::AnnealParams anneal;       ///< "anneal"
   baselines::LocalSearchParams local;   ///< "local"
-  /// "parallel-sim" / "parallel-threaded". The shared `seed`, `cost`, and
+  /// "parallel-sim". The shared `seed`, `cost`, and
   /// `tabu` blocks above are authoritative: they overwrite the copies
   /// nested inside this config when the run starts.
   parallel::PtsConfig parallel;

@@ -54,20 +54,6 @@ bool FaultPlan::on_connect(int* error_out) {
   return false;
 }
 
-FaultPlan::MessageDecision FaultPlan::on_message() {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  const double u = rng_.uniform();
-  if (u < config_.message_drop_rate) {
-    ++counters_.dropped_messages;
-    return MessageDecision::Drop;
-  }
-  if (u < config_.message_drop_rate + config_.message_delay_rate) {
-    ++counters_.delayed_messages;
-    return MessageDecision::Delay;
-  }
-  return MessageDecision::Pass;
-}
-
 FaultPlan::Counters FaultPlan::counters() const {
   const std::lock_guard<std::mutex> lock(mutex_);
   return counters_;

@@ -1,25 +1,21 @@
 // Deterministic fault injection for the serving and parallel layers.
 //
 // A FaultPlan is a seeded decision stream: every hook point (socket read,
-// socket write, connect, pvm message delivery) draws the next decision from
-// the plan's private RNG, so the *sequence* of injected faults is a pure
-// function of (seed, config). With one thread driving the hooks the whole
+// socket write, connect) draws the next decision from the plan's private
+// RNG, so the *sequence* of injected faults is a pure function of
+// (seed, config). With one thread driving the hooks the whole
 // fault schedule replays exactly; under concurrency the per-call decisions
 // are still drawn from one deterministic sequence, but which thread receives
 // which decision follows the OS schedule — the robustness guarantees under
 // test (no leaks, retried results bit-identical) must hold for *every*
 // interleaving, so that is the right contract.
 //
-// Three fault families:
+// Two fault families:
 //  - Socket syscalls (fault::read / fault::send / fault::connect_fd): short
 //    reads/writes capped at `short_cap` bytes, and injected errno failures
 //    (ECONNRESET / EPIPE / EAGAIN) without touching the socket. Wrappers are
 //    zero-cost passthroughs when no plan is installed (one relaxed atomic
 //    load). Production code in service/ calls the wrappers unconditionally.
-//  - pvm messages (Mailbox::set_fault_plan): deliveries may be dropped or
-//    delayed — a delayed message is held back and released after the next
-//    passed delivery, modeling reordering; messages still held at close are
-//    lost.
 //  - Worker stall/death scripts (WorkerFaultScript, embedded in
 //    parallel::PtsConfig::faults): kills or slows a TSW at a scripted global
 //    iteration. This family is not random — it replays exactly, which is
@@ -58,9 +54,6 @@ struct SocketFaultConfig {
   double short_read_rate = 0.0;
   double short_write_rate = 0.0;
   std::size_t short_cap = 3;
-  /// pvm mailbox delivery faults (see Mailbox::set_fault_plan).
-  double message_drop_rate = 0.0;
-  double message_delay_rate = 0.0;
 
   std::vector<int> read_errors = {ECONNRESET, EAGAIN};
   std::vector<int> write_errors = {EPIPE, ECONNRESET, EAGAIN};
@@ -100,7 +93,6 @@ class FaultPlan {
     std::size_t cap = 0;  ///< Kind::Cap: max bytes this call may move
     int error = 0;        ///< Kind::Fail: errno to inject
   };
-  enum class MessageDecision { Pass, Drop, Delay };
 
   struct Counters {
     std::uint64_t read_errors = 0;
@@ -108,8 +100,6 @@ class FaultPlan {
     std::uint64_t connect_errors = 0;
     std::uint64_t short_reads = 0;
     std::uint64_t short_writes = 0;
-    std::uint64_t dropped_messages = 0;
-    std::uint64_t delayed_messages = 0;
   };
 
   FaultPlan(std::uint64_t seed, SocketFaultConfig config);
@@ -119,7 +109,6 @@ class FaultPlan {
   IoDecision on_write();
   /// True: inject a connect failure, `*error_out` holds the errno.
   bool on_connect(int* error_out);
-  MessageDecision on_message();
 
   Counters counters() const;
 

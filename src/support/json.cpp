@@ -1,10 +1,10 @@
-#include "service/json.hpp"
+#include "support/json.hpp"
 
 #include <charconv>
 #include <cmath>
 #include <cstdio>
 
-namespace pts::service::json {
+namespace pts::json {
 
 void Value::set(std::string key, Value v) {
   for (auto& [existing, value] : object_) {
@@ -344,4 +344,4 @@ std::optional<Value> parse(std::string_view text, std::string* error) {
   return Parser(text).run(error);
 }
 
-}  // namespace pts::service::json
+}  // namespace pts::json

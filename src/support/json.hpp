@@ -1,8 +1,10 @@
-// Minimal JSON document model, parser, and writer for the serving layer.
+// Minimal JSON document model, parser, and writer.
 //
 // The daemon and the pts_client CLI exchange SolveSpec / SolveResult as
-// JSON (service/codec.hpp maps them); this file is the dependency-free
-// JSON core. Two properties matter more than generality:
+// JSON (service/codec.hpp maps them), and solve checkpoints are JSON too
+// (solver/checkpoint.hpp); this file is the dependency-free JSON core. It
+// lives in support/ so both layers can use it without the solver reaching
+// up into the service layer. Two properties matter more than generality:
 //
 //  - Doubles round-trip exactly: dump() emits the shortest decimal that
 //    parses back to the same bits (std::to_chars), so a SolveResult that
@@ -24,7 +26,7 @@
 #include <utility>
 #include <vector>
 
-namespace pts::service::json {
+namespace pts::json {
 
 class Value;
 using Member = std::pair<std::string, Value>;
@@ -85,4 +87,4 @@ std::string dump(const Value& value);
 /// description. Nesting deeper than 64 levels is rejected.
 std::optional<Value> parse(std::string_view text, std::string* error);
 
-}  // namespace pts::service::json
+}  // namespace pts::json

@@ -77,8 +77,8 @@ struct StopConditions {
   /// Extra cap on engine iterations: tabu/local-search iterations,
   /// annealing moves, parallel *global* iterations. 0 = no extra cap.
   std::size_t max_iterations = 0;
-  /// Engine-clock limit in seconds: wall time for the sequential engines
-  /// and the threaded engine, virtual time for the sim engine (which makes
+  /// Engine-clock limit in seconds: wall time for the sequential and
+  /// shared-memory engines, virtual time for the sim engine (which makes
   /// the limit deterministic there). <= 0 = no limit.
   double max_seconds = 0.0;
   /// Stop once the best cost found is <= this.

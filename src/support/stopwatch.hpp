@@ -1,5 +1,6 @@
-// Wall-clock stopwatch for the threaded engine and examples. Figure benches
-// use virtual time from pts::sim instead (see DESIGN.md §5).
+// Wall-clock stopwatch for the wall-clock engines, the serving layer and
+// the examples. Figure benches use the sim engine's virtual time instead
+// (see DESIGN.md §5).
 #pragma once
 
 #include <chrono>

@@ -1,12 +1,17 @@
 // Determinism guard: two TabuSearch runs with the same seed must produce
 // bit-identical cost trajectories, best costs, and best slot assignments.
 // Every future parallel/perf refactor is validated against this invariant.
+// The registry-wide pin extends it to every engine behind the solver front
+// door, which is what lets the serving layer cache any engine's result.
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 
 #include "cost/evaluator.hpp"
+#include "experiments/workloads.hpp"
 #include "netlist/generator.hpp"
+#include "solver/solver.hpp"
 #include "tabu/search.hpp"
 
 namespace pts::tabu {
@@ -106,6 +111,51 @@ TEST(DeterminismTest, FrequencyMemoryRunsAreAlsoDeterministic) {
   EXPECT_EQ(r1.best_cost, r2.best_cost);
   EXPECT_EQ(r1.best_slots, r2.best_slots);
   expect_bit_identical(r1.cost_trace, r2.cost_trace);
+}
+
+TEST(DeterminismTest, EveryRegisteredEngineIsDeterministic) {
+  // Same spec, solved twice: slots, costs, stats and traces must match bit
+  // for bit, for every engine in the registry. Wall-clock readings are the
+  // one exception — best_vs_time x values and the makespan of the
+  // wall-clock engines — so those are compared only for parallel-sim,
+  // whose clock is virtual.
+  const auto& nl = experiments::circuit("highway");
+  for (const std::string& engine : solver::engine_names()) {
+    SCOPED_TRACE(engine);
+    auto spec = experiments::base_spec(nl, engine, /*seed=*/17, /*quick=*/true);
+    spec.parallel.num_tsws = 2;
+    spec.parallel.clws_per_tsw = 2;
+    spec.shared.threads = 2;
+    const solver::Solver solver;
+    ASSERT_TRUE(solver.validate(spec).empty());
+    const auto r1 = solver.solve(spec);
+    const auto r2 = solver.solve(spec);
+
+    EXPECT_EQ(r1.initial_cost, r2.initial_cost);
+    EXPECT_EQ(r1.best_cost, r2.best_cost);
+    EXPECT_EQ(r1.best_quality, r2.best_quality);
+    EXPECT_EQ(r1.best_objectives.wirelength, r2.best_objectives.wirelength);
+    EXPECT_EQ(r1.best_objectives.delay, r2.best_objectives.delay);
+    EXPECT_EQ(r1.best_objectives.area, r2.best_objectives.area);
+    EXPECT_EQ(r1.best_slots, r2.best_slots);
+    EXPECT_EQ(r1.stats.iterations, r2.stats.iterations);
+    EXPECT_EQ(r1.stats.accepted, r2.stats.accepted);
+    EXPECT_EQ(r1.stats.rejected_tabu, r2.stats.rejected_tabu);
+    EXPECT_EQ(r1.stats.aspirated, r2.stats.aspirated);
+    EXPECT_EQ(r1.stats.early_accepts, r2.stats.early_accepts);
+    EXPECT_EQ(r1.stats.trials, r2.stats.trials);
+    EXPECT_EQ(r1.iterations, r2.iterations);
+    EXPECT_EQ(r1.stop_reason, r2.stop_reason);
+    EXPECT_EQ(r1.converged, r2.converged);
+    expect_bit_identical(r1.cost_trace, r2.cost_trace);
+    expect_bit_identical(r1.best_trace, r2.best_trace);
+    expect_bit_identical(r1.best_vs_global, r2.best_vs_global);
+    EXPECT_EQ(r1.best_vs_time.y, r2.best_vs_time.y);
+    if (engine == "parallel-sim") {
+      EXPECT_EQ(r1.best_vs_time.x, r2.best_vs_time.x);
+      EXPECT_EQ(r1.makespan, r2.makespan);
+    }
+  }
 }
 
 }  // namespace

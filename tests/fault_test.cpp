@@ -1,9 +1,8 @@
 // The deterministic fault-injection layer (support/fault.hpp) and the
 // recovery paths wired to it: seeded decision streams replay exactly, the
-// socket wrappers inject errors without touching the socket, the pvm
-// mailbox drops/delays deliveries, and the sim engine survives scripted
-// worker death/stall deterministically — while an empty script leaves the
-// historical trajectories bit-identical.
+// socket wrappers inject errors without touching the socket, and the sim
+// engine survives scripted worker death/stall deterministically — while an
+// empty script leaves the historical trajectories bit-identical.
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
@@ -15,8 +14,6 @@
 
 #include "netlist/generator.hpp"
 #include "parallel/sim_engine.hpp"
-#include "pvm/mailbox.hpp"
-#include "pvm/message.hpp"
 #include "support/fault.hpp"
 
 namespace pts {
@@ -35,8 +32,6 @@ TEST(FaultPlan, SameSeedSameDecisionStream) {
   config.write_error_rate = 0.1;
   config.short_write_rate = 0.25;
   config.connect_error_rate = 0.15;
-  config.message_drop_rate = 0.2;
-  config.message_delay_rate = 0.2;
 
   FaultPlan a(/*seed=*/7, config);
   FaultPlan b(/*seed=*/7, config);
@@ -52,7 +47,6 @@ TEST(FaultPlan, SameSeedSameDecisionStream) {
     int ea = 0, eb = 0;
     EXPECT_EQ(a.on_connect(&ea), b.on_connect(&eb));
     EXPECT_EQ(ea, eb);
-    EXPECT_EQ(a.on_message(), b.on_message()) << "message decision " << i;
   }
   const auto ca = a.counters();
   const auto cb = b.counters();
@@ -61,12 +55,9 @@ TEST(FaultPlan, SameSeedSameDecisionStream) {
   EXPECT_EQ(ca.connect_errors, cb.connect_errors);
   EXPECT_EQ(ca.short_reads, cb.short_reads);
   EXPECT_EQ(ca.short_writes, cb.short_writes);
-  EXPECT_EQ(ca.dropped_messages, cb.dropped_messages);
-  EXPECT_EQ(ca.delayed_messages, cb.delayed_messages);
   // With these rates, 200 draws per hook inject a healthy mix.
   EXPECT_GT(ca.read_errors, 0u);
   EXPECT_GT(ca.short_reads, 0u);
-  EXPECT_GT(ca.dropped_messages + ca.delayed_messages, 0u);
 }
 
 TEST(FaultPlan, ZeroRatesAlwaysPass) {
@@ -76,7 +67,6 @@ TEST(FaultPlan, ZeroRatesAlwaysPass) {
     EXPECT_EQ(plan.on_write().kind, FaultPlan::IoDecision::Kind::Pass);
     int error = 0;
     EXPECT_FALSE(plan.on_connect(&error));
-    EXPECT_EQ(plan.on_message(), FaultPlan::MessageDecision::Pass);
   }
 }
 
@@ -173,58 +163,6 @@ TEST(FaultSocket, NoPlanIsPassthrough) {
   ASSERT_EQ(fault::read(fds[1], buffer, sizeof(buffer)), 2);
   ::close(fds[0]);
   ::close(fds[1]);
-}
-
-// -- mailbox ------------------------------------------------------------------
-
-TEST(FaultMailbox, DropsDeliveriesOnTheFloor) {
-  SocketFaultConfig config;
-  config.message_drop_rate = 1.0;
-  FaultPlan plan(/*seed=*/2, config);
-  pvm::Mailbox box;
-  box.set_fault_plan(&plan);
-  box.deliver(pvm::Message(1));
-  box.deliver(pvm::Message(2));
-  EXPECT_EQ(box.pending(), 0u);
-  EXPECT_FALSE(box.try_recv(pvm::kAnyTag).has_value());
-  EXPECT_EQ(plan.counters().dropped_messages, 2u);
-}
-
-TEST(FaultMailbox, DelayedMessageIsReleasedAfterNextDeliveryReordered) {
-  SocketFaultConfig config;
-  config.message_delay_rate = 1.0;
-  FaultPlan plan(/*seed=*/4, config);
-  pvm::Mailbox box;
-  box.set_fault_plan(&plan);
-
-  // First delivery is held back...
-  box.deliver(pvm::Message(1));
-  EXPECT_EQ(box.pending(), 0u);
-  EXPECT_EQ(plan.counters().delayed_messages, 1u);
-
-  // ...and released behind the next passed delivery: observable reordering.
-  box.set_fault_plan(nullptr);
-  box.deliver(pvm::Message(2));
-  EXPECT_EQ(box.pending(), 2u);
-  auto first = box.try_recv(pvm::kAnyTag);
-  auto second = box.try_recv(pvm::kAnyTag);
-  ASSERT_TRUE(first.has_value());
-  ASSERT_TRUE(second.has_value());
-  EXPECT_EQ(first->tag(), 2);
-  EXPECT_EQ(second->tag(), 1);
-}
-
-TEST(FaultMailbox, MessagesHeldAtCloseAreLost) {
-  SocketFaultConfig config;
-  config.message_delay_rate = 1.0;
-  FaultPlan plan(/*seed=*/6, config);
-  pvm::Mailbox box;
-  box.set_fault_plan(&plan);
-  box.deliver(pvm::Message(9));
-  box.close();
-  box.set_fault_plan(nullptr);
-  box.deliver(pvm::Message(10));  // closed: ignored, releases nothing
-  EXPECT_FALSE(box.try_recv(pvm::kAnyTag).has_value());
 }
 
 // -- sim engine recovery ------------------------------------------------------

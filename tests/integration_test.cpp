@@ -11,7 +11,6 @@
 #include "experiments/workloads.hpp"
 #include "netlist/io.hpp"
 #include "parallel/sim_engine.hpp"
-#include "parallel/threaded_engine.hpp"
 #include "tabu/search.hpp"
 #include "timing/sta.hpp"
 
@@ -66,21 +65,6 @@ TEST(Integration, FinalSolutionIsAValidPlacement) {
   const auto sta = timing::run_sta(circuit, hpwl, model);
   EXPECT_LE(result.best_objectives.delay, sta.critical_delay + 1e-6);
   EXPECT_NEAR(result.best_objectives.wirelength, hpwl.total(), 1e-6);
-}
-
-TEST(Integration, BothEnginesImproveTheSameWorkload) {
-  const auto& circuit = experiments::circuit("highway");
-  auto config = experiments::base_config(circuit, 7, /*quick=*/true);
-  config.num_tsws = 2;
-  config.clws_per_tsw = 2;
-  const auto sim = parallel::SimEngine(circuit, config).run();
-  const auto threaded = parallel::ThreadedEngine(circuit, config).run();
-  EXPECT_EQ(sim.initial_cost, threaded.initial_cost);
-  EXPECT_LT(sim.best_cost, sim.initial_cost);
-  EXPECT_LT(threaded.best_cost, threaded.initial_cost);
-  // Same fixed iteration budget under WaitAll-free defaults: both engines
-  // end with comparable quality (loose bound; different RNG schedules).
-  EXPECT_NEAR(sim.best_cost, threaded.best_cost, 0.25);
 }
 
 TEST(Integration, ParallelSearchBeatsSingleThreadAtEqualVirtualTime) {

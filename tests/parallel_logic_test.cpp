@@ -1,10 +1,10 @@
-// Unit tests for src/parallel worker state machines, policy math and the
-// message protocol.
+// Unit tests for src/parallel worker state machines and policy math.
 #include <gtest/gtest.h>
+
+#include <utility>
 
 #include "netlist/generator.hpp"
 #include "parallel/policy.hpp"
-#include "parallel/protocol.hpp"
 #include "parallel/worker_logic.hpp"
 
 namespace pts::parallel {
@@ -234,9 +234,13 @@ TEST(TswStateTest, SelectsLowestCostCandidate) {
   candidates[1].cost = 0.4;
   // candidates[2] stays default-constructed: empty (cut before any level).
 
+  auto expected = eval->placement().slots();
+  std::swap(expected[eval->placement().slot_of(c)],
+            expected[eval->placement().slot_of(d)]);
   const int winner = state.process_candidates(candidates);
   EXPECT_EQ(winner, 1);
-  EXPECT_EQ(state.last_applied().size(), 1u);
+  // Exactly the winner's swap was applied to the TSW's evaluator.
+  EXPECT_EQ(eval->placement().slots(), expected);
   EXPECT_TRUE(state.tabu_list().is_tabu({c, d}));
   EXPECT_FALSE(state.tabu_list().is_tabu({a, b}));
 }
@@ -248,8 +252,9 @@ TEST(TswStateTest, AllEmptyCandidatesRejected) {
   TswState state(*eval, {}, {}, tabu::full_range(nl), Rng(1));
   state.begin_global_iteration();
   std::vector<tabu::CompoundMove> candidates(2);
+  const auto before = eval->placement().slots();
   EXPECT_EQ(state.process_candidates(candidates), -1);
-  EXPECT_TRUE(state.last_applied().empty());
+  EXPECT_EQ(eval->placement().slots(), before);
 }
 
 TEST(TswStateTest, TabuCandidateRejectedWithoutAspiration) {
@@ -350,97 +355,6 @@ TEST(TswStateTest, AdoptReplacesSolutionAndTabu) {
   EXPECT_TRUE(state.tabu_list().is_tabu({1, 2}));
   state.begin_global_iteration();
   EXPECT_NEAR(state.iteration_best_cost(), eval->cost(), 1e-12);
-}
-
-// ---------------------------------------------------------------------------
-// Protocol round-trips.
-
-TEST(Protocol, ClwReportRoundTrip) {
-  ClwReport r;
-  r.local_seq = 17;
-  r.swaps = {{1, 2}, {3, 4}};
-  r.cost = 0.625;
-  r.was_forced = true;
-  r.improved_early = false;
-  r.work_units = 12.0;
-  pvm::Message msg = r.encode();
-  const ClwReport d = ClwReport::decode(msg);
-  EXPECT_EQ(d.local_seq, 17u);
-  EXPECT_EQ(d.swaps.size(), 2u);
-  EXPECT_TRUE(d.swaps[1] == (tabu::Move{3, 4}));
-  EXPECT_DOUBLE_EQ(d.cost, 0.625);
-  EXPECT_TRUE(d.was_forced);
-  EXPECT_FALSE(d.improved_early);
-  EXPECT_DOUBLE_EQ(d.work_units, 12.0);
-}
-
-TEST(Protocol, TswReportRoundTrip) {
-  TswReport r;
-  r.global_seq = 3;
-  r.best_cost = 0.5;
-  r.best_slots = {2, 0, 1};
-  r.tabu_entries = {{5, 6}};
-  r.was_forced = true;
-  r.local_iterations_done = 9;
-  r.stat_iterations = 100;
-  r.stat_accepted = 80;
-  r.stat_rejected_tabu = 15;
-  r.stat_aspirated = 5;
-  r.stat_early_accepts = 33;
-  pvm::Message msg = r.encode();
-  const TswReport d = TswReport::decode(msg);
-  EXPECT_EQ(d.global_seq, 3u);
-  EXPECT_DOUBLE_EQ(d.best_cost, 0.5);
-  EXPECT_EQ(d.best_slots, (std::vector<CellId>{2, 0, 1}));
-  EXPECT_EQ(d.tabu_entries.size(), 1u);
-  EXPECT_TRUE(d.was_forced);
-  EXPECT_EQ(d.local_iterations_done, 9u);
-  EXPECT_EQ(d.stat_accepted, 80u);
-  EXPECT_EQ(d.stat_early_accepts, 33u);
-}
-
-TEST(Protocol, BroadcastRoundTrip) {
-  Broadcast b;
-  b.global_seq = 2;
-  b.best_cost = 0.25;
-  b.best_slots = {1, 0};
-  b.tabu_entries = {{7, 8}, {9, 10}};
-  pvm::Message msg = b.encode();
-  const Broadcast d = Broadcast::decode(msg);
-  EXPECT_EQ(d.global_seq, 2u);
-  EXPECT_DOUBLE_EQ(d.best_cost, 0.25);
-  EXPECT_EQ(d.best_slots, (std::vector<CellId>{1, 0}));
-  EXPECT_EQ(d.tabu_entries.size(), 2u);
-}
-
-TEST(Protocol, SearchRequestRoundTrip) {
-  SearchRequest r;
-  r.local_seq = 41;
-  r.sync_swaps = {{2, 3}};
-  pvm::Message msg = r.encode();
-  SearchRequest d = SearchRequest::decode(msg);
-  EXPECT_EQ(d.local_seq, 41u);
-  EXPECT_EQ(d.sync_swaps.size(), 1u);
-  EXPECT_TRUE(d.reset_slots.empty());
-
-  SearchRequest reset;
-  reset.local_seq = 42;
-  reset.reset_slots = {0, 1, 2};
-  pvm::Message msg2 = reset.encode();
-  const SearchRequest d2 = SearchRequest::decode(msg2);
-  EXPECT_EQ(d2.reset_slots.size(), 3u);
-}
-
-TEST(Protocol, InitForceTerminateHelpers) {
-  pvm::Message init = make_init({3, 1, 2});
-  EXPECT_EQ(init.tag(), kTagInit);
-  EXPECT_EQ(decode_init(init), (std::vector<CellId>{3, 1, 2}));
-
-  pvm::Message force = make_force(99);
-  EXPECT_EQ(force.tag(), kTagForceReport);
-  EXPECT_EQ(decode_force(force), 99u);
-
-  EXPECT_EQ(make_terminate().tag(), kTagTerminate);
 }
 
 }  // namespace

@@ -1,29 +1,24 @@
-// Unit tests for src/pvm: message pack/unpack, mailboxes, machine
-// profiles, and the threaded virtual machine.
+// Unit tests for src/pvm: message pack/unpack, machine profiles, and the
+// wire framing.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
 #include <cstring>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
 #include "pvm/frame.hpp"
 #include "pvm/machine.hpp"
-#include "pvm/mailbox.hpp"
 #include "pvm/message.hpp"
-#include "pvm/vm.hpp"
 #include "support/rng.hpp"
 
 namespace pts::pvm {
 namespace {
 
-// This binary mixes EXPECT_DEATH with multi-threaded tests; the default
-// "fast" death-test style forks from a threaded process, which gtest
-// documents as unsafe. Death tests switch to "threadsafe" (re-exec) below.
+// Death tests below use gtest's "threadsafe" (re-exec) style, which does not
+// depend on the process being single-threaded when the child is forked.
 
 TEST(Message, PackUnpackAllTypes) {
   Message msg(42);
@@ -66,6 +61,32 @@ TEST(Message, EmptyVectorsRoundTrip) {
   EXPECT_EQ(msg.unpack_string(), "");
 }
 
+TEST(Message, EmptyPayloadRoundTrip) {
+  // A tag-only message (no packed fields) is a legal control message: it
+  // survives copy, move and re-adoption from empty wire bytes.
+  const Message original(17);
+  EXPECT_EQ(original.tag(), 17);
+  EXPECT_EQ(original.byte_size(), 0u);
+  EXPECT_TRUE(original.fully_consumed());
+
+  Message copy = original;
+  EXPECT_EQ(copy.tag(), 17);
+  EXPECT_EQ(copy.byte_size(), 0u);
+  EXPECT_TRUE(copy.fully_consumed());
+
+  const Message moved = std::move(copy);
+  EXPECT_EQ(moved.tag(), 17);
+  EXPECT_EQ(moved.byte_size(), 0u);
+  EXPECT_TRUE(moved.fully_consumed());
+
+  Message adopted = Message::from_payload(17, {});
+  EXPECT_EQ(adopted.tag(), 17);
+  EXPECT_EQ(adopted.byte_size(), 0u);
+  EXPECT_TRUE(adopted.fully_consumed());
+  EXPECT_TRUE(adopted.validate_layout());
+  EXPECT_EQ(adopted.peek_field(), Field::None);
+}
+
 TEST(MessageDeath, TypeMismatchAborts) {
   GTEST_FLAG_SET(death_test_style, "threadsafe");
   Message msg(1);
@@ -79,200 +100,6 @@ TEST(MessageDeath, UnderflowAborts) {
   msg.pack_u32(5);
   msg.unpack_u32();
   EXPECT_DEATH(msg.unpack_u32(), "underflow");
-}
-
-TEST(MailboxTest, FifoWithinTag) {
-  Mailbox box;
-  Message a(1);
-  a.pack_u32(10);
-  Message b(1);
-  b.pack_u32(20);
-  box.deliver(std::move(a));
-  box.deliver(std::move(b));
-  EXPECT_EQ(box.pending(), 2u);
-  EXPECT_EQ(box.recv(1)->unpack_u32(), 10u);
-  EXPECT_EQ(box.recv(1)->unpack_u32(), 20u);
-}
-
-TEST(MailboxTest, TagFilterSkipsOthers) {
-  Mailbox box;
-  box.deliver(Message(1));
-  box.deliver(Message(2));
-  EXPECT_TRUE(box.probe(2));
-  const auto m = box.recv(2);
-  ASSERT_TRUE(m.has_value());
-  EXPECT_EQ(m->tag(), 2);
-  EXPECT_TRUE(box.probe(1));
-  EXPECT_FALSE(box.probe(2));
-}
-
-TEST(MailboxTest, TryRecvNonBlocking) {
-  Mailbox box;
-  EXPECT_FALSE(box.try_recv().has_value());
-  box.deliver(Message(3));
-  EXPECT_TRUE(box.try_recv(3).has_value());
-  EXPECT_FALSE(box.try_recv(3).has_value());
-}
-
-TEST(MailboxTest, CloseUnblocksReceiver) {
-  Mailbox box;
-  std::atomic<bool> returned{false};
-  std::thread receiver([&] {
-    const auto m = box.recv();
-    EXPECT_FALSE(m.has_value());
-    returned = true;
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  EXPECT_FALSE(returned);
-  box.close();
-  receiver.join();
-  EXPECT_TRUE(returned);
-  // Deliveries after close are dropped.
-  box.deliver(Message(1));
-  EXPECT_EQ(box.pending(), 0u);
-}
-
-TEST(MailboxTest, RecvDrainsQueueAfterClose) {
-  Mailbox box;
-  box.deliver(Message(7));
-  box.close();
-  // The queued message is still deliverable...
-  EXPECT_TRUE(box.recv().has_value());
-  // ...then recv reports shutdown.
-  EXPECT_FALSE(box.recv().has_value());
-}
-
-TEST(MailboxTest, ConcurrentSendersDeliverEverythingOnce) {
-  // N sender threads each deliver K tagged messages while one receiver
-  // drains; every payload must arrive exactly once and per-sender streams
-  // must stay FIFO.
-  constexpr std::uint32_t kSenders = 8;
-  constexpr std::uint32_t kPerSender = 200;
-  Mailbox box;
-
-  std::vector<std::thread> senders;
-  senders.reserve(kSenders);
-  for (std::uint32_t s = 0; s < kSenders; ++s) {
-    senders.emplace_back([&box, s] {
-      for (std::uint32_t i = 0; i < kPerSender; ++i) {
-        Message m(1);
-        m.pack_u32(s);
-        m.pack_u32(i);
-        box.deliver(std::move(m));
-      }
-    });
-  }
-
-  std::vector<std::uint32_t> next_expected(kSenders, 0);
-  for (std::uint32_t n = 0; n < kSenders * kPerSender; ++n) {
-    auto m = box.recv(1);
-    ASSERT_TRUE(m.has_value());
-    const std::uint32_t s = m->unpack_u32();
-    const std::uint32_t seq = m->unpack_u32();
-    ASSERT_LT(s, kSenders);
-    EXPECT_EQ(seq, next_expected[s]) << "sender " << s << " stream reordered";
-    next_expected[s] = seq + 1;
-  }
-  for (auto& t : senders) t.join();
-  EXPECT_EQ(box.pending(), 0u);
-  for (std::uint32_t s = 0; s < kSenders; ++s) {
-    EXPECT_EQ(next_expected[s], kPerSender);
-  }
-}
-
-TEST(MailboxTest, ConcurrentSendersWithConcurrentClose) {
-  // close() racing active senders must neither deadlock nor corrupt the
-  // queue: the receiver sees a clean prefix of deliveries, then nullopt.
-  constexpr int kSenders = 4;
-  Mailbox box;
-  std::atomic<bool> stop{false};
-  std::vector<std::thread> senders;
-  for (int s = 0; s < kSenders; ++s) {
-    senders.emplace_back([&] {
-      while (!stop.load()) {
-        Message m(1);
-        m.pack_u32(99);
-        box.deliver(std::move(m));
-      }
-    });
-  }
-  std::size_t received = 0;
-  while (received < 100) {
-    if (box.recv(1).has_value()) ++received;
-  }
-  box.close();
-  stop = true;
-  for (auto& t : senders) t.join();
-  // Drain whatever landed before close; after that recv reports shutdown.
-  while (box.recv(1).has_value()) {
-  }
-  EXPECT_FALSE(box.recv(1).has_value());
-  EXPECT_TRUE(box.closed());
-}
-
-TEST(MailboxTest, EmptyPayloadRoundTrip) {
-  // A tag-only message (no packed fields) is a legal control message.
-  Mailbox box;
-  box.deliver(Message(17));
-  auto m = box.recv(17);
-  ASSERT_TRUE(m.has_value());
-  EXPECT_EQ(m->tag(), 17);
-  EXPECT_EQ(m->byte_size(), 0u);
-  EXPECT_TRUE(m->fully_consumed());
-}
-
-TEST(Vm, SelfSendLoopsBack) {
-  // A task sending to its own id must find the message in its own mailbox
-  // (PVM allows pvm_send to self); the host is a task like any other.
-  VirtualMachine vm(ClusterConfig::homogeneous(2));
-  Message note(21);
-  note.pack_string("to self");
-  vm.host().send(vm.host().self(), std::move(note));
-  auto m = vm.host().recv(21);
-  ASSERT_TRUE(m.has_value());
-  EXPECT_EQ(m->sender(), vm.host().self());
-  EXPECT_EQ(m->unpack_string(), "to self");
-
-  // Same from a spawned task; it reports the outcome to the host so the
-  // check happens before shutdown can close any mailbox.
-  vm.spawn("selfish", [](TaskContext& ctx) {
-    Message m2(5);
-    m2.pack_u32(77);
-    ctx.send(ctx.self(), std::move(m2));
-    auto got = ctx.try_recv(5);
-    Message verdict(6);
-    verdict.pack_bool(got.has_value() && got->unpack_u32() == 77 &&
-                      got->sender() == ctx.self());
-    ctx.send(0, std::move(verdict));
-  });
-  auto verdict = vm.host().recv(6);
-  ASSERT_TRUE(verdict.has_value());
-  EXPECT_TRUE(verdict->unpack_bool());
-  vm.shutdown();
-}
-
-TEST(Vm, EmptyPayloadControlMessagesUnderLoad) {
-  // Empty (tag-only) messages from several concurrent senders all arrive.
-  VirtualMachine vm(ClusterConfig::homogeneous(4));
-  constexpr int kSenders = 3;
-  constexpr int kEach = 100;
-  const TaskId sink = vm.spawn("sink", [](TaskContext& ctx) {
-    int seen = 0;
-    while (auto m = ctx.recv(9)) {
-      EXPECT_EQ(m->byte_size(), 0u);
-      if (++seen == kSenders * kEach) {
-        ctx.send(0, Message(10));
-        return;
-      }
-    }
-  });
-  for (int s = 0; s < kSenders; ++s) {
-    vm.spawn("pinger", [sink](TaskContext& ctx) {
-      for (int i = 0; i < kEach; ++i) ctx.send(sink, Message(9));
-    });
-  }
-  EXPECT_TRUE(vm.host().recv(10).has_value());
-  vm.shutdown();
 }
 
 TEST(MachineProfileTest, SpeedScalesTime) {
@@ -317,112 +144,6 @@ TEST(ClusterTest, InterleavingSpreadsClasses) {
   // First three tasks land on three different speed classes.
   EXPECT_NE(cluster.machine_for_task(0).speed, cluster.machine_for_task(1).speed);
   EXPECT_NE(cluster.machine_for_task(1).speed, cluster.machine_for_task(2).speed);
-}
-
-TEST(Vm, SpawnSendRecvEcho) {
-  VirtualMachine vm(ClusterConfig::homogeneous(4));
-  const TaskId echo = vm.spawn("echo", [](TaskContext& ctx) {
-    for (;;) {
-      auto msg = ctx.recv();
-      if (!msg || msg->tag() == 99) return;
-      Message reply(msg->tag() + 1);
-      reply.pack_u64(msg->unpack_u64() * 2);
-      ctx.send(msg->sender(), std::move(reply));
-    }
-  });
-  Message ping(5);
-  ping.pack_u64(21);
-  vm.host().send(echo, std::move(ping));
-  auto reply = vm.host().recv(6);
-  ASSERT_TRUE(reply.has_value());
-  EXPECT_EQ(reply->unpack_u64(), 42u);
-  EXPECT_EQ(reply->sender(), echo);
-  vm.host().send(echo, Message(99));
-  vm.shutdown();
-}
-
-TEST(Vm, TasksCanSpawnChildren) {
-  VirtualMachine vm(ClusterConfig::homogeneous(4));
-  const TaskId parent = vm.spawn("parent", [](TaskContext& ctx) {
-    auto go = ctx.recv(1);
-    if (!go) return;
-    const TaskId child = ctx.vm().spawn("child", [](TaskContext& cctx) {
-      auto m = cctx.recv(2);
-      if (!m) return;
-      Message up(3);
-      up.pack_string("from child");
-      cctx.send(m->sender(), std::move(up));
-    });
-    ctx.send(child, Message(2));
-    auto up = ctx.recv(3);
-    if (!up) return;
-    Message done(4);
-    done.pack_string(up->unpack_string());
-    ctx.send(go->sender(), std::move(done));
-  });
-  vm.host().send(parent, Message(1));
-  auto done = vm.host().recv(4);
-  ASSERT_TRUE(done.has_value());
-  EXPECT_EQ(done->unpack_string(), "from child");
-  EXPECT_EQ(vm.num_tasks(), 3u);  // host + parent + child
-  vm.shutdown();
-}
-
-TEST(Vm, ChargeAccruesVirtualTimeBySpeed) {
-  // Two machines, speeds 1.0 and 0.5; tasks charged the same work.
-  ClusterConfig cluster;
-  cluster.machines = {{"fast", 1.0, 0.0}, {"slow", 0.5, 0.0}};
-  VirtualMachine vm(cluster);  // host -> fast
-  std::atomic<double> slow_time{0.0};
-  const TaskId slow = vm.spawn("slow", [&](TaskContext& ctx) {  // task 1 -> slow
-    ctx.charge(10.0);
-    slow_time = ctx.virtual_time();
-    ctx.recv();  // park until shutdown
-  });
-  (void)slow;
-  vm.host().charge(10.0);
-  EXPECT_DOUBLE_EQ(vm.host().virtual_time(), 10.0);
-  // Wait until the slow task has charged.
-  while (slow_time.load() == 0.0) std::this_thread::yield();
-  EXPECT_DOUBLE_EQ(slow_time.load(), 20.0);
-  vm.shutdown();
-}
-
-TEST(Vm, ShutdownUnblocksEverything) {
-  VirtualMachine vm(ClusterConfig::homogeneous(2));
-  std::atomic<int> finished{0};
-  for (int i = 0; i < 3; ++i) {
-    vm.spawn("waiter", [&](TaskContext& ctx) {
-      while (ctx.recv().has_value()) {
-      }
-      ++finished;
-    });
-  }
-  vm.shutdown();
-  EXPECT_EQ(finished.load(), 3);
-}
-
-TEST(Vm, ManyMessagesStressOrdering) {
-  VirtualMachine vm(ClusterConfig::homogeneous(3));
-  const TaskId sink = vm.spawn("sink", [](TaskContext& ctx) {
-    std::uint64_t expected = 0;
-    while (auto msg = ctx.recv(1)) {
-      // Per-sender FIFO: the single sender's stream must stay ordered.
-      ASSERT_EQ(msg->unpack_u64(), expected++);
-      if (expected == 500) {
-        Message done(2);
-        ctx.send(msg->sender(), std::move(done));
-        return;
-      }
-    }
-  });
-  for (std::uint64_t i = 0; i < 500; ++i) {
-    Message m(1);
-    m.pack_u64(i);
-    vm.host().send(sink, std::move(m));
-  }
-  EXPECT_TRUE(vm.host().recv(2).has_value());
-  vm.shutdown();
 }
 
 // -- hardened decode (peek_field / validate_layout / from_payload) ----------

@@ -27,11 +27,11 @@
 #include "service/client.hpp"
 #include "service/codec.hpp"
 #include "service/daemon.hpp"
-#include "service/json.hpp"
 #include "service/proto.hpp"
 #include "service/session.hpp"
 #include "solver/solver.hpp"
 #include "support/fault.hpp"
+#include "support/json.hpp"
 
 namespace pts::service {
 namespace {
@@ -674,11 +674,16 @@ TEST_F(DaemonTest, SchemaViolationsAnswerErrorsAndConnectionSurvives) {
   EXPECT_FALSE(client.submit(job, false, 0, &error).has_value());
   EXPECT_NE(error.find("no-such-circuit"), std::string::npos);
 
-  // Unknown engine (rejected by Solver::validate before any thread starts).
+  // Unknown engines (rejected by Solver::validate before any thread
+  // starts), including the retired parallel-threaded engine: the error
+  // names the engine and the connection survives each rejection.
   job.circuit = "highway";
-  job.spec.engine = "no-such-engine";
-  EXPECT_FALSE(client.submit(job, false, 0, &error).has_value());
-  EXPECT_NE(error.find("engine"), std::string::npos);
+  for (const char* engine : {"no-such-engine", "parallel-threaded"}) {
+    job.spec.engine = engine;
+    EXPECT_FALSE(client.submit(job, false, 0, &error).has_value()) << engine;
+    EXPECT_NE(error.find("engine"), std::string::npos) << error;
+    EXPECT_NE(error.find(engine), std::string::npos) << error;
+  }
 
   // The same connection still serves a good job afterwards.
   job.spec.engine = "tabu";
@@ -1000,13 +1005,16 @@ TEST(Codec, CacheKeyCanonicalizesDeadlineAndGatesOnDeterminism) {
   warm.spec.initial_slots = {2, 1, 0};
   EXPECT_NE(cache_key(job, 0xABCDULL), cache_key(warm, 0xABCDULL));
 
-  // Wall-clock stops and the real-thread engine are not cacheable.
+  // A wall-clock stop is not cacheable; without one, every registered
+  // engine is (each is deterministic per spec, see determinism_test).
   JobRequest timed = job;
   timed.spec.stop.max_seconds = 5.0;
   EXPECT_FALSE(spec_cacheable(timed));
-  JobRequest threaded = job;
-  threaded.spec.engine = "parallel-threaded";
-  EXPECT_FALSE(spec_cacheable(threaded));
+  for (const auto& engine : solver::engine_names()) {
+    JobRequest other_engine = job;
+    other_engine.spec.engine = engine;
+    EXPECT_TRUE(spec_cacheable(other_engine)) << engine;
+  }
 }
 
 TEST(SessionManager, CachesDeterministicResultsWithLruEviction) {

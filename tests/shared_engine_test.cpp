@@ -256,18 +256,5 @@ TEST(SharedEngine, OversubscribedSimEngineSolves) {
   }
 }
 
-TEST(SharedEngine, OversubscribedThreadedEngineSolves) {
-  const auto& nl = experiments::circuit("highway");
-  SolveSpec spec = experiments::base_spec(nl, "parallel-threaded", /*seed=*/5,
-                                          /*quick=*/true);
-  spec.parallel.num_tsws = nl.num_movable() + 4;  // 60 > 56 movable
-  spec.parallel.clws_per_tsw = 1;
-  spec.parallel.global_iterations = 1;
-  spec.parallel.local_iterations = 1;
-  const auto result = Solver().solve(spec);
-  EXPECT_LE(result.best_cost, result.initial_cost);
-  EXPECT_EQ(result.best_slots.size(), nl.num_movable());
-}
-
 }  // namespace
 }  // namespace pts::solver

@@ -17,7 +17,6 @@
 #include "experiments/workloads.hpp"
 #include "netlist/io.hpp"
 #include "parallel/sim_engine.hpp"
-#include "parallel/threaded_engine.hpp"
 #include "solver/checkpoint.hpp"
 #include "solver/solver.hpp"
 #include "tabu/search.hpp"
@@ -95,11 +94,10 @@ SolveSpec small_parallel_spec(const netlist::Netlist& nl,
 
 // -- registry ---------------------------------------------------------------
 
-TEST(SolverRegistry, AllSevenBuiltinsRegistered) {
+TEST(SolverRegistry, AllSixBuiltinsRegistered) {
   const auto names = engine_names();
   for (const char* expected : {"tabu", "anneal", "local", "constructive",
-                               "parallel-sim", "parallel-threaded",
-                               "parallel-shared"}) {
+                               "parallel-sim", "parallel-shared"}) {
     EXPECT_NE(std::find(names.begin(), names.end(), expected), names.end())
         << expected;
     const Engine* engine = find_engine(expected);
@@ -115,15 +113,15 @@ TEST(SolverRegistry, EngineNamesAreStableSortedOrder) {
   // engine_names() being deterministic: lexicographically sorted, no
   // duplicates, identical across calls.
   const auto names = engine_names();
-  ASSERT_GE(names.size(), 7u);
+  ASSERT_GE(names.size(), 6u);
   EXPECT_TRUE(std::is_sorted(names.begin(), names.end()));
   EXPECT_EQ(std::adjacent_find(names.begin(), names.end()), names.end());
   EXPECT_EQ(engine_names(), names);
 
-  // The seven builtins appear in their sorted positions.
+  // The six builtins appear in their sorted positions.
   const std::vector<std::string> builtins = {
-      "anneal",       "constructive",      "local",          "parallel-shared",
-      "parallel-sim", "parallel-threaded", "tabu"};
+      "anneal",          "constructive", "local",
+      "parallel-shared", "parallel-sim", "tabu"};
   std::vector<std::string> present;
   for (const auto& name : names) {
     if (std::find(builtins.begin(), builtins.end(), name) != builtins.end()) {
@@ -326,26 +324,6 @@ TEST(SolverParity, ParallelSimMatchesDirectInvocation) {
     EXPECT_EQ(via.makespan, direct.makespan) << name;
     expect_series_identical(via.best_vs_time, direct.best_vs_time);
     expect_series_identical(via.best_vs_global, direct.best_vs_global);
-    EXPECT_EQ(via.stats.iterations, direct.stats.iterations) << name;
-  }
-}
-
-TEST(SolverParity, ParallelThreadedMatchesDirectInvocation) {
-  // WaitAll at both levels makes the threaded outcome (not its wall
-  // timings) deterministic, so the comparison can be exact.
-  for (const char* name : kCircuits) {
-    const auto& nl = experiments::circuit(name);
-    auto spec = small_parallel_spec(nl, 23);
-    spec.engine = "parallel-threaded";
-    spec.parallel.set_policy(parallel::CollectionPolicy::WaitAll);
-    const auto via = Solver().solve(spec);
-
-    const auto direct =
-        parallel::ThreadedEngine(nl, direct_parallel_config(spec)).run();
-
-    EXPECT_EQ(via.initial_cost, direct.initial_cost) << name;
-    EXPECT_EQ(via.best_cost, direct.best_cost) << name;
-    EXPECT_EQ(via.best_slots, direct.best_slots) << name;
     EXPECT_EQ(via.stats.iterations, direct.stats.iterations) << name;
   }
 }
@@ -643,7 +621,7 @@ TEST(SolverWarmStart, ValidateRejectsMalformedSeeds) {
   spec.initial_slots = Solver().solve(cold).best_slots;
   EXPECT_TRUE(Solver().validate(spec).empty());
   for (const char* engine :
-       {"constructive", "parallel-sim", "parallel-threaded", "parallel-shared"}) {
+       {"constructive", "parallel-sim", "parallel-shared"}) {
     SolveSpec rejected = spec;
     rejected.engine = engine;
     rejected.parallel.num_tsws = 2;
