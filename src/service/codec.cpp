@@ -1,8 +1,11 @@
 #include "service/codec.hpp"
 
+#include <algorithm>
 #include <charconv>
 #include <cmath>
-#include <cstring>
+#include <vector>
+
+#include "support/json.hpp"
 
 namespace pts::service {
 
@@ -17,11 +20,12 @@ using json::Value;
 /// schema never asked about, so typos ("iteratons") surface as errors.
 class ObjectReader {
  public:
-  ObjectReader(const Value& value, std::string context, std::string& error)
-      : value_(value), context_(std::move(context)), error_(error) {
-    if (!value_.is_object()) {
-      fail("expected an object");
-    }
+  /// `context` names the object in error messages ("spec.tabu"); it must
+  /// outlive the reader (every caller passes a literal).
+  ObjectReader(const Value& value, std::string_view context, std::string& error)
+      : value_(value), context_(context), error_(error) {
+    known_keys_.reserve(16);  // the widest schema object has 15 keys
+    if (!value_.is_object()) fail("expected an object");
   }
 
   bool ok() const { return error_.empty(); }
@@ -105,17 +109,13 @@ class ObjectReader {
 
   /// Call last: rejects members no read_* asked about.
   void finish() {
-    if (!value_.is_object()) return;
     for (const auto& [key, member] : value_.members()) {
       (void)member;
-      bool seen = false;
-      for (const auto& k : known_keys_) {
-        if (k == key) {
-          seen = true;
-          break;
-        }
+      if (std::find(known_keys_.begin(), known_keys_.end(), key) ==
+          known_keys_.end()) {
+        fail("unknown key '" + key + "'");
+        return;
       }
-      if (!seen) fail("unknown key '" + key + "'");
     }
   }
 
@@ -127,39 +127,39 @@ class ObjectReader {
     return true;
   }
 
-  const Value* known(const char* key) {
-    known_keys_.emplace_back(key);
+  const Value* known(std::string_view key) {
+    known_keys_.push_back(key);
     return value_.find(key);
   }
 
   void fail(const std::string& why) {
     if (!error_.empty()) return;  // first error wins; it has the most context
-    error_ = context_ + ": " + why;
+    error_ = std::string(context_) + ": " + why;
   }
 
   const Value& value_;
-  std::string context_;
+  std::string_view context_;
   std::string& error_;
-  std::vector<std::string> known_keys_;
+  std::vector<std::string_view> known_keys_;
 };
 
 // -- series -----------------------------------------------------------------
 
-Value series_to_json(const Series& series) {
-  Value out = Value::object();
-  out.set("name", Value(series.name));
-  Value xs = Value::array();
-  for (const double x : series.x) xs.push_back(Value(x));
-  Value ys = Value::array();
-  for (const double y : series.y) ys.push_back(Value(y));
-  out.set("x", std::move(xs));
-  out.set("y", std::move(ys));
-  return out;
+void write_series(json::Writer& w, std::string_view key, const Series& series) {
+  w.key(key).begin_object();
+  w.field("name", series.name);
+  w.key("x").begin_array();
+  for (const double x : series.x) w.value(x);
+  w.end_array();
+  w.key("y").begin_array();
+  for (const double y : series.y) w.value(y);
+  w.end_array();
+  w.end_object();
 }
 
-bool series_from_json(const Value& value, const char* key, Series& out,
+bool series_from_json(const Value& value, std::string_view context, Series& out,
                       std::string& error) {
-  ObjectReader reader(value, std::string("result.") + key, error);
+  ObjectReader reader(value, context, error);
   reader.read_string("name", out.name);
   for (const char* axis : {"x", "y"}) {
     auto& dst = axis[0] == 'x' ? out.x : out.y;
@@ -168,7 +168,7 @@ bool series_from_json(const Value& value, const char* key, Series& out,
       dst.reserve(arr->items().size());
       for (const auto& item : arr->items()) {
         if (!item.is_number() || !std::isfinite(item.as_number())) {
-          error = std::string("result.") + key + "." + axis +
+          error = std::string(context) + "." + axis +
                   " must contain only finite numbers";
           return false;
         }
@@ -179,7 +179,7 @@ bool series_from_json(const Value& value, const char* key, Series& out,
   reader.finish();
   if (!error.empty()) return false;
   if (out.x.size() != out.y.size()) {
-    error = std::string("result.") + key + ": x and y lengths differ";
+    error = std::string(context) + ": x and y lengths differ";
     return false;
   }
   return true;
@@ -200,94 +200,7 @@ bool stop_reason_from_name(const std::string& name, StopReason& out) {
   return false;
 }
 
-}  // namespace
-
 // -- spec -------------------------------------------------------------------
-
-json::Value spec_to_json(const JobRequest& job) {
-  const solver::SolveSpec& spec = job.spec;
-  Value out = Value::object();
-  out.set("circuit", Value(job.circuit));
-  out.set("engine", Value(spec.engine));
-  out.set("seed", Value(static_cast<double>(spec.seed)));
-  out.set("deadline_seconds", Value(job.deadline_seconds));
-  if (!spec.initial_slots.empty()) {
-    // Warm start (ECO mode): omitted when empty so pre-existing encodings
-    // stay byte-stable.
-    Value slots = Value::array();
-    for (const netlist::CellId cell : spec.initial_slots) {
-      slots.push_back(Value(static_cast<double>(cell)));
-    }
-    out.set("initial_slots", std::move(slots));
-  }
-
-  Value cost = Value::object();
-  cost.set("num_paths", Value(static_cast<double>(spec.cost.num_paths)));
-  cost.set("target_improvement", Value(spec.cost.target_improvement));
-  cost.set("initial_membership", Value(spec.cost.initial_membership));
-  cost.set("beta", Value(spec.cost.beta));
-  cost.set("rebuild_interval", Value(static_cast<double>(spec.cost.rebuild_interval)));
-  out.set("cost", std::move(cost));
-
-  Value compound = Value::object();
-  compound.set("width", Value(static_cast<double>(spec.tabu.compound.width)));
-  compound.set("depth", Value(static_cast<double>(spec.tabu.compound.depth)));
-  compound.set("early_accept", Value(spec.tabu.compound.early_accept));
-  compound.set("batch", Value(static_cast<double>(spec.tabu.compound.batch)));
-  Value tabu = Value::object();
-  tabu.set("tenure", Value(static_cast<double>(spec.tabu.tenure)));
-  tabu.set("iterations", Value(static_cast<double>(spec.tabu.iterations)));
-  tabu.set("aspiration", Value(spec.tabu.aspiration));
-  tabu.set("trace_stride", Value(static_cast<double>(spec.tabu.trace_stride)));
-  tabu.set("compound", std::move(compound));
-  out.set("tabu", std::move(tabu));
-
-  Value anneal = Value::object();
-  anneal.set("initial_acceptance", Value(spec.anneal.initial_acceptance));
-  anneal.set("cooling", Value(spec.anneal.cooling));
-  anneal.set("moves_per_temp", Value(static_cast<double>(spec.anneal.moves_per_temp)));
-  anneal.set("final_temp_ratio", Value(spec.anneal.final_temp_ratio));
-  anneal.set("trace_stride", Value(static_cast<double>(spec.anneal.trace_stride)));
-  out.set("anneal", std::move(anneal));
-
-  Value local = Value::object();
-  local.set("candidates_per_iteration",
-            Value(static_cast<double>(spec.local.candidates_per_iteration)));
-  local.set("patience", Value(static_cast<double>(spec.local.patience)));
-  local.set("max_iterations", Value(static_cast<double>(spec.local.max_iterations)));
-  local.set("trace_stride", Value(static_cast<double>(spec.local.trace_stride)));
-  out.set("local", std::move(local));
-
-  Value diversify = Value::object();
-  diversify.set("depth", Value(static_cast<double>(spec.parallel.diversify.depth)));
-  diversify.set("width", Value(static_cast<double>(spec.parallel.diversify.width)));
-  diversify.set("enabled", Value(spec.parallel.diversify.enabled));
-  diversify.set("batch", Value(static_cast<double>(spec.parallel.diversify.batch)));
-  Value parallel = Value::object();
-  parallel.set("num_tsws", Value(static_cast<double>(spec.parallel.num_tsws)));
-  parallel.set("clws_per_tsw", Value(static_cast<double>(spec.parallel.clws_per_tsw)));
-  parallel.set("local_iterations",
-               Value(static_cast<double>(spec.parallel.local_iterations)));
-  parallel.set("global_iterations",
-               Value(static_cast<double>(spec.parallel.global_iterations)));
-  parallel.set("diversify", std::move(diversify));
-  out.set("parallel", std::move(parallel));
-
-  Value shared = Value::object();
-  shared.set("threads", Value(static_cast<double>(spec.shared.threads)));
-  shared.set("chunk", Value(static_cast<double>(spec.shared.chunk)));
-  out.set("shared", std::move(shared));
-
-  Value stop = Value::object();
-  stop.set("max_iterations", Value(static_cast<double>(spec.stop.max_iterations)));
-  stop.set("max_seconds", Value(spec.stop.max_seconds));
-  stop.set("target_cost", spec.stop.target_cost ? Value(*spec.stop.target_cost)
-                                                : Value());
-  stop.set("target_quality",
-           spec.stop.target_quality ? Value(*spec.stop.target_quality) : Value());
-  out.set("stop", std::move(stop));
-  return out;
-}
 
 std::optional<JobRequest> spec_from_json(const json::Value& value,
                                          std::string* error) {
@@ -398,46 +311,6 @@ std::optional<JobRequest> spec_from_json(const json::Value& value,
 
 // -- result -----------------------------------------------------------------
 
-json::Value result_to_json(const solver::SolveResult& result) {
-  Value out = Value::object();
-  out.set("engine", Value(result.engine));
-  out.set("initial_cost", Value(result.initial_cost));
-  out.set("best_cost", Value(result.best_cost));
-  out.set("best_quality", Value(result.best_quality));
-
-  Value objectives = Value::object();
-  objectives.set("wirelength", Value(result.best_objectives.wirelength));
-  objectives.set("delay", Value(result.best_objectives.delay));
-  objectives.set("area", Value(result.best_objectives.area));
-  out.set("best_objectives", std::move(objectives));
-
-  Value slots = Value::array();
-  for (const netlist::CellId cell : result.best_slots) {
-    slots.push_back(Value(static_cast<double>(cell)));
-  }
-  out.set("best_slots", std::move(slots));
-
-  out.set("cost_trace", series_to_json(result.cost_trace));
-  out.set("best_trace", series_to_json(result.best_trace));
-  out.set("best_vs_time", series_to_json(result.best_vs_time));
-  out.set("best_vs_global", series_to_json(result.best_vs_global));
-
-  Value stats = Value::object();
-  stats.set("iterations", Value(static_cast<double>(result.stats.iterations)));
-  stats.set("accepted", Value(static_cast<double>(result.stats.accepted)));
-  stats.set("rejected_tabu", Value(static_cast<double>(result.stats.rejected_tabu)));
-  stats.set("aspirated", Value(static_cast<double>(result.stats.aspirated)));
-  stats.set("early_accepts", Value(static_cast<double>(result.stats.early_accepts)));
-  stats.set("trials", Value(static_cast<double>(result.stats.trials)));
-  out.set("stats", std::move(stats));
-
-  out.set("iterations", Value(static_cast<double>(result.iterations)));
-  out.set("makespan", Value(result.makespan));
-  out.set("stop_reason", Value(std::string(stop_reason_name(result.stop_reason))));
-  out.set("converged", Value(result.converged));
-  return out;
-}
-
 std::optional<solver::SolveResult> result_from_json(const json::Value& value,
                                                     std::string* error) {
   std::string err;
@@ -469,14 +342,20 @@ std::optional<solver::SolveResult> result_from_json(const json::Value& value,
     }
   }
 
-  for (const auto& [key, series] :
-       {std::pair<const char*, Series*>{"cost_trace", &result.cost_trace},
-        {"best_trace", &result.best_trace},
-        {"best_vs_time", &result.best_vs_time},
-        {"best_vs_global", &result.best_vs_global}}) {
+  struct SeriesField {
+    const char* key;
+    const char* context;
+    Series* series;
+  };
+  for (const SeriesField& field :
+       {SeriesField{"cost_trace", "result.cost_trace", &result.cost_trace},
+        SeriesField{"best_trace", "result.best_trace", &result.best_trace},
+        SeriesField{"best_vs_time", "result.best_vs_time", &result.best_vs_time},
+        SeriesField{"best_vs_global", "result.best_vs_global",
+                    &result.best_vs_global}}) {
     if (!err.empty()) break;
-    if (const Value* v = reader.read_object(key)) {
-      if (!series_from_json(*v, key, *series, err)) break;
+    if (const Value* v = reader.read_object(field.key)) {
+      if (!series_from_json(*v, field.context, *field.series, err)) break;
     }
   }
 
@@ -509,6 +388,140 @@ std::optional<solver::SolveResult> result_from_json(const json::Value& value,
   return result;
 }
 
+// -- encoders ---------------------------------------------------------------
+//
+// Member order is part of the wire format: cache keys compare encoded
+// specs byte for byte, and tests/codec_test.cpp (WireGolden.*) pins golden
+// encodings.
+
+void write_optional(json::Writer& w, std::string_view key,
+                    const std::optional<double>& value) {
+  w.key(key);
+  if (value) {
+    w.value(*value);
+  } else {
+    w.null();
+  }
+}
+
+void write_spec(json::Writer& w, const JobRequest& job, double deadline_seconds) {
+  const solver::SolveSpec& spec = job.spec;
+  w.begin_object();
+  w.field("circuit", job.circuit);
+  w.field("engine", spec.engine);
+  w.field("seed", spec.seed);
+  w.field("deadline_seconds", deadline_seconds);
+  if (!spec.initial_slots.empty()) {
+    // Warm start (ECO mode): omitted when empty so pre-existing encodings
+    // stay byte-stable.
+    w.key("initial_slots").begin_array();
+    for (const netlist::CellId cell : spec.initial_slots) w.value(cell);
+    w.end_array();
+  }
+
+  w.key("cost").begin_object();
+  w.field("num_paths", spec.cost.num_paths);
+  w.field("target_improvement", spec.cost.target_improvement);
+  w.field("initial_membership", spec.cost.initial_membership);
+  w.field("beta", spec.cost.beta);
+  w.field("rebuild_interval", spec.cost.rebuild_interval);
+  w.end_object();
+
+  w.key("tabu").begin_object();
+  w.field("tenure", spec.tabu.tenure);
+  w.field("iterations", spec.tabu.iterations);
+  w.field("aspiration", spec.tabu.aspiration);
+  w.field("trace_stride", spec.tabu.trace_stride);
+  w.key("compound").begin_object();
+  w.field("width", spec.tabu.compound.width);
+  w.field("depth", spec.tabu.compound.depth);
+  w.field("early_accept", spec.tabu.compound.early_accept);
+  w.field("batch", spec.tabu.compound.batch);
+  w.end_object();
+  w.end_object();
+
+  w.key("anneal").begin_object();
+  w.field("initial_acceptance", spec.anneal.initial_acceptance);
+  w.field("cooling", spec.anneal.cooling);
+  w.field("moves_per_temp", spec.anneal.moves_per_temp);
+  w.field("final_temp_ratio", spec.anneal.final_temp_ratio);
+  w.field("trace_stride", spec.anneal.trace_stride);
+  w.end_object();
+
+  w.key("local").begin_object();
+  w.field("candidates_per_iteration", spec.local.candidates_per_iteration);
+  w.field("patience", spec.local.patience);
+  w.field("max_iterations", spec.local.max_iterations);
+  w.field("trace_stride", spec.local.trace_stride);
+  w.end_object();
+
+  w.key("parallel").begin_object();
+  w.field("num_tsws", spec.parallel.num_tsws);
+  w.field("clws_per_tsw", spec.parallel.clws_per_tsw);
+  w.field("local_iterations", spec.parallel.local_iterations);
+  w.field("global_iterations", spec.parallel.global_iterations);
+  w.key("diversify").begin_object();
+  w.field("depth", spec.parallel.diversify.depth);
+  w.field("width", spec.parallel.diversify.width);
+  w.field("enabled", spec.parallel.diversify.enabled);
+  w.field("batch", spec.parallel.diversify.batch);
+  w.end_object();
+  w.end_object();
+
+  w.key("shared").begin_object();
+  w.field("threads", spec.shared.threads);
+  w.field("chunk", spec.shared.chunk);
+  w.end_object();
+
+  w.key("stop").begin_object();
+  w.field("max_iterations", spec.stop.max_iterations);
+  w.field("max_seconds", spec.stop.max_seconds);
+  write_optional(w, "target_cost", spec.stop.target_cost);
+  write_optional(w, "target_quality", spec.stop.target_quality);
+  w.end_object();
+  w.end_object();
+}
+
+void write_result(json::Writer& w, const solver::SolveResult& result) {
+  w.begin_object();
+  w.field("engine", result.engine);
+  w.field("initial_cost", result.initial_cost);
+  w.field("best_cost", result.best_cost);
+  w.field("best_quality", result.best_quality);
+
+  w.key("best_objectives").begin_object();
+  w.field("wirelength", result.best_objectives.wirelength);
+  w.field("delay", result.best_objectives.delay);
+  w.field("area", result.best_objectives.area);
+  w.end_object();
+
+  w.key("best_slots").begin_array();
+  for (const netlist::CellId cell : result.best_slots) w.value(cell);
+  w.end_array();
+
+  write_series(w, "cost_trace", result.cost_trace);
+  write_series(w, "best_trace", result.best_trace);
+  write_series(w, "best_vs_time", result.best_vs_time);
+  write_series(w, "best_vs_global", result.best_vs_global);
+
+  w.key("stats").begin_object();
+  w.field("iterations", result.stats.iterations);
+  w.field("accepted", result.stats.accepted);
+  w.field("rejected_tabu", result.stats.rejected_tabu);
+  w.field("aspirated", result.stats.aspirated);
+  w.field("early_accepts", result.stats.early_accepts);
+  w.field("trials", result.stats.trials);
+  w.end_object();
+
+  w.field("iterations", result.iterations);
+  w.field("makespan", result.makespan);
+  w.field("stop_reason", stop_reason_name(result.stop_reason));
+  w.field("converged", result.converged);
+  w.end_object();
+}
+
+}  // namespace
+
 // -- result cache keying ----------------------------------------------------
 
 bool spec_cacheable(const JobRequest& job) {
@@ -522,20 +535,27 @@ bool spec_cacheable(const JobRequest& job) {
 std::string cache_key(const JobRequest& job, std::uint64_t circuit_hash) {
   // Canonical form: the content hash pins the circuit *bytes* (the name in
   // the spec only pins the registry entry), and the deadline is zeroed —
-  // it changes when a job is killed, never what it computes. spec_to_json
-  // emits members in one fixed order, so the dump is canonical.
-  JobRequest canonical = job;
-  canonical.deadline_seconds = 0.0;
+  // it changes when a job is killed, never what it computes. The spec
+  // writer emits members in one fixed order, so the text is canonical.
   char hex[17] = {};
   const auto [end, ec] =
       std::to_chars(hex, hex + sizeof(hex), circuit_hash, 16);
   (void)ec;  // 16 digits always fit a u64
-  return std::string(hex, end) + "|" + encode_spec(canonical);
+  json::Writer w;
+  write_spec(w, job, /*deadline_seconds=*/0.0);
+  std::string key(hex, end);
+  key += '|';
+  key += w.take();
+  return key;
 }
 
-// -- string conveniences ----------------------------------------------------
+// -- the codec --------------------------------------------------------------
 
-std::string encode_spec(const JobRequest& job) { return json::dump(spec_to_json(job)); }
+std::string encode_spec(const JobRequest& job) {
+  json::Writer w;
+  write_spec(w, job, job.deadline_seconds);
+  return w.take();
+}
 
 std::optional<JobRequest> decode_spec(std::string_view text, std::string* error) {
   const auto value = json::parse(text, error);
@@ -544,7 +564,9 @@ std::optional<JobRequest> decode_spec(std::string_view text, std::string* error)
 }
 
 std::string encode_result(const solver::SolveResult& result) {
-  return json::dump(result_to_json(result));
+  json::Writer w;
+  write_result(w, result);
+  return w.take();
 }
 
 std::optional<solver::SolveResult> decode_result(std::string_view text,

@@ -13,9 +13,13 @@
 // cost model keep their defaults (they shape the emulation experiments, not
 // a served solve; extend the schema here if that changes).
 //
-// Doubles round-trip bit-exactly through support/json.hpp, so
-// decode(encode(result)) == result field-for-field — the property behind
-// the daemon-vs-direct bit-identity guarantee (tests/service_test.cpp).
+// Encoding streams each field straight into one json::Writer — no DOM is
+// built on the way out. Decoding parses into the strict json::Value DOM
+// and reads it field by field; json::parse refuses a duplicated key and
+// the reader refuses an unknown one. Doubles round-trip bit-exactly through support/json.hpp,
+// so decode(encode(result)) == result field-for-field — the property
+// behind the daemon-vs-direct bit-identity guarantee
+// (tests/service_test.cpp).
 #pragma once
 
 #include <cstdint>
@@ -24,7 +28,6 @@
 #include <string_view>
 
 #include "solver/solver.hpp"
-#include "support/json.hpp"
 
 namespace pts::service {
 
@@ -39,14 +42,6 @@ struct JobRequest {
   double deadline_seconds = 0.0;
 };
 
-json::Value spec_to_json(const JobRequest& job);
-std::optional<JobRequest> spec_from_json(const json::Value& value,
-                                         std::string* error);
-
-json::Value result_to_json(const solver::SolveResult& result);
-std::optional<solver::SolveResult> result_from_json(const json::Value& value,
-                                                    std::string* error);
-
 /// True when the job's result is a pure function of the spec — no
 /// wall-clock stop condition and a deterministic engine — and therefore
 /// eligible for the daemon's result cache (ECO mode).
@@ -58,7 +53,8 @@ bool spec_cacheable(const JobRequest& job);
 /// (a deadline changes when a job fails, not what it computes).
 std::string cache_key(const JobRequest& job, std::uint64_t circuit_hash);
 
-// String conveniences (parse + decode / encode + dump in one call).
+// The codec proper. decode_* never abort: malformed text or a schema
+// violation returns nullopt and, when `error` is non-null, a description.
 std::string encode_spec(const JobRequest& job);
 std::optional<JobRequest> decode_spec(std::string_view text, std::string* error);
 std::string encode_result(const solver::SolveResult& result);

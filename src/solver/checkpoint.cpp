@@ -103,44 +103,20 @@ std::string hex_u64(std::uint64_t v) {
   return std::string(buf, res.ptr);
 }
 
-json::Value doubles_to_json(const std::vector<double>& vs) {
-  json::Value arr = json::Value::array();
-  for (double v : vs) arr.push_back(json::Value(v));
-  return arr;
-}
-
+/// `key` followed by the numbers of `vs` as an array.
 template <typename T>
-json::Value uints_to_json(const std::vector<T>& vs) {
-  json::Value arr = json::Value::array();
-  for (T v : vs) arr.push_back(json::Value(static_cast<double>(v)));
-  return arr;
+void write_numbers(json::Writer& w, std::string_view key, const std::vector<T>& vs) {
+  w.key(key).begin_array();
+  for (const T v : vs) w.value(v);
+  w.end_array();
 }
 
-json::Value series_to_json(const Series& s) {
-  json::Value obj = json::Value::object();
-  obj.set("name", json::Value(s.name));
-  obj.set("x", doubles_to_json(s.x));
-  obj.set("y", doubles_to_json(s.y));
-  return obj;
-}
-
-json::Value objectives_to_json(const cost::Objectives& o) {
-  json::Value obj = json::Value::object();
-  obj.set("wirelength", json::Value(o.wirelength));
-  obj.set("delay", json::Value(o.delay));
-  obj.set("area", json::Value(o.area));
-  return obj;
-}
-
-json::Value stats_to_json(const tabu::SearchStats& s) {
-  json::Value obj = json::Value::object();
-  obj.set("iterations", json::Value(static_cast<double>(s.iterations)));
-  obj.set("accepted", json::Value(static_cast<double>(s.accepted)));
-  obj.set("rejected_tabu", json::Value(static_cast<double>(s.rejected_tabu)));
-  obj.set("aspirated", json::Value(static_cast<double>(s.aspirated)));
-  obj.set("early_accepts", json::Value(static_cast<double>(s.early_accepts)));
-  obj.set("trials", json::Value(static_cast<double>(s.trials)));
-  return obj;
+void write_series(json::Writer& w, std::string_view key, const Series& s) {
+  w.key(key).begin_object();
+  w.field("name", s.name);
+  write_numbers(w, "x", s.x);
+  write_numbers(w, "y", s.y);
+  w.end_object();
 }
 
 // True when `slots` places every movable cell of `nl` exactly once (the
@@ -226,61 +202,69 @@ CheckpointedSolve resume_from_checkpoint(const SolveSpec& spec,
 }
 
 std::string encode_checkpoint(const Checkpoint& ck) {
-  json::Value root = json::Value::object();
-  root.set("version", json::Value(1.0));
-  root.set("engine", json::Value(ck.engine));
-  root.set("seed", json::Value(hex_u64(ck.seed)));
-  root.set("circuit_hash", json::Value(hex_u64(ck.circuit_hash)));
-  root.set("initial_cost", json::Value(ck.initial_cost));
-  root.set("elapsed_seconds", json::Value(ck.elapsed_seconds));
+  // Member order is the checkpoint format (tests/codec_test.cpp pins a
+  // golden encoding).
+  json::Writer w;
+  w.begin_object();
+  w.field("version", 1.0);
+  w.field("engine", ck.engine);
+  w.field("seed", hex_u64(ck.seed));
+  w.field("circuit_hash", hex_u64(ck.circuit_hash));
+  w.field("initial_cost", ck.initial_cost);
+  w.field("elapsed_seconds", ck.elapsed_seconds);
 
-  json::Value eval = json::Value::object();
-  eval.set("slots", uints_to_json(ck.eval.slots));
-  eval.set("hpwl_total", json::Value(ck.eval.hpwl_total));
-  eval.set("wire_sums", doubles_to_json(ck.eval.wire_sums));
-  eval.set("swaps_applied",
-           json::Value(static_cast<double>(ck.eval.swaps_applied)));
-  eval.set("swaps_since_rebuild",
-           json::Value(static_cast<double>(ck.eval.swaps_since_rebuild)));
-  root.set("eval", std::move(eval));
+  w.key("eval").begin_object();
+  write_numbers(w, "slots", ck.eval.slots);
+  w.field("hpwl_total", ck.eval.hpwl_total);
+  write_numbers(w, "wire_sums", ck.eval.wire_sums);
+  w.field("swaps_applied", ck.eval.swaps_applied);
+  w.field("swaps_since_rebuild", ck.eval.swaps_since_rebuild);
+  w.end_object();
 
-  json::Value search = json::Value::object();
-  json::Value rng = json::Value::object();
-  json::Value words = json::Value::array();
-  for (std::uint64_t w : ck.search.rng.s) words.push_back(json::Value(hex_u64(w)));
-  rng.set("s", std::move(words));
-  rng.set("spare", json::Value(ck.search.rng.spare));
-  rng.set("has_spare", json::Value(ck.search.rng.has_spare));
-  search.set("rng", std::move(rng));
-  json::Value entries = json::Value::array();
-  for (const tabu::Move& m : ck.search.tabu_entries) {
-    json::Value pair = json::Value::array();
-    pair.push_back(json::Value(static_cast<double>(m.a)));
-    pair.push_back(json::Value(static_cast<double>(m.b)));
-    entries.push_back(std::move(pair));
+  const tabu::TabuSearch::State& search = ck.search;
+  w.key("search").begin_object();
+  w.key("rng").begin_object();
+  w.key("s").begin_array();
+  for (std::uint64_t word : search.rng.s) w.value(hex_u64(word));
+  w.end_array();
+  w.field("spare", search.rng.spare);
+  w.field("has_spare", search.rng.has_spare);
+  w.end_object();
+  w.key("tabu_entries").begin_array();
+  for (const tabu::Move& m : search.tabu_entries) {
+    w.begin_array().value(m.a).value(m.b).end_array();
   }
-  search.set("tabu_entries", std::move(entries));
-  json::Value freq = json::Value::object();
-  freq.set("counts", uints_to_json(ck.search.frequency.counts));
-  freq.set("improving_counts", uints_to_json(ck.search.frequency.improving_counts));
-  freq.set("transitions",
-           json::Value(static_cast<double>(ck.search.frequency.transitions)));
-  freq.set("max_count",
-           json::Value(static_cast<double>(ck.search.frequency.max_count)));
-  freq.set("max_improving",
-           json::Value(static_cast<double>(ck.search.frequency.max_improving)));
-  search.set("frequency", std::move(freq));
-  search.set("best_cost", json::Value(ck.search.best_cost));
-  search.set("best_quality", json::Value(ck.search.best_quality));
-  search.set("best_objectives", objectives_to_json(ck.search.best_objectives));
-  search.set("best_slots", uints_to_json(ck.search.best_slots));
-  search.set("stats", stats_to_json(ck.search.stats));
-  root.set("search", std::move(search));
+  w.end_array();
+  w.key("frequency").begin_object();
+  write_numbers(w, "counts", search.frequency.counts);
+  write_numbers(w, "improving_counts", search.frequency.improving_counts);
+  w.field("transitions", search.frequency.transitions);
+  w.field("max_count", search.frequency.max_count);
+  w.field("max_improving", search.frequency.max_improving);
+  w.end_object();
+  w.field("best_cost", search.best_cost);
+  w.field("best_quality", search.best_quality);
+  w.key("best_objectives").begin_object();
+  w.field("wirelength", search.best_objectives.wirelength);
+  w.field("delay", search.best_objectives.delay);
+  w.field("area", search.best_objectives.area);
+  w.end_object();
+  write_numbers(w, "best_slots", search.best_slots);
+  w.key("stats").begin_object();
+  w.field("iterations", search.stats.iterations);
+  w.field("accepted", search.stats.accepted);
+  w.field("rejected_tabu", search.stats.rejected_tabu);
+  w.field("aspirated", search.stats.aspirated);
+  w.field("early_accepts", search.stats.early_accepts);
+  w.field("trials", search.stats.trials);
+  w.end_object();
+  w.end_object();
 
-  root.set("cost_trace", series_to_json(ck.cost_trace));
-  root.set("best_trace", series_to_json(ck.best_trace));
-  root.set("best_vs_time", series_to_json(ck.best_vs_time));
-  return json::dump(root);
+  write_series(w, "cost_trace", ck.cost_trace);
+  write_series(w, "best_trace", ck.best_trace);
+  write_series(w, "best_vs_time", ck.best_vs_time);
+  w.end_object();
+  return w.take();
 }
 
 namespace {

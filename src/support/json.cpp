@@ -1,108 +1,198 @@
 #include "support/json.hpp"
 
+#include <algorithm>
 #include <charconv>
 #include <cmath>
-#include <cstdio>
+#include <cstdint>
 
 namespace pts::json {
 
-void Value::set(std::string key, Value v) {
-  for (auto& [existing, value] : object_) {
-    if (existing == key) {
-      value = std::move(v);
-      return;
-    }
+// -- Value ------------------------------------------------------------------
+
+bool Value::as_bool() const {
+  const bool* b = std::get_if<bool>(&data_);
+  return b != nullptr && *b;
+}
+
+double Value::as_number() const {
+  const double* n = std::get_if<double>(&data_);
+  return n != nullptr ? *n : 0.0;
+}
+
+const std::string& Value::as_string() const {
+  static const std::string kEmpty;
+  const std::string* s = std::get_if<std::string>(&data_);
+  return s != nullptr ? *s : kEmpty;
+}
+
+const std::vector<Value>& Value::items() const {
+  static const Array kEmpty;
+  const Array* a = std::get_if<Array>(&data_);
+  return a != nullptr ? *a : kEmpty;
+}
+
+const std::vector<Member>& Value::members() const {
+  static const Object kEmpty;
+  const Object* o = std::get_if<Object>(&data_);
+  return o != nullptr ? *o : kEmpty;
+}
+
+void Value::push_back(Value v) {
+  if (Array* a = std::get_if<Array>(&data_)) a->push_back(std::move(v));
+}
+
+void Value::append(std::string key, Value v) {
+  if (Object* o = std::get_if<Object>(&data_)) {
+    o->emplace_back(std::move(key), std::move(v));
   }
-  object_.emplace_back(std::move(key), std::move(v));
 }
 
 const Value* Value::find(std::string_view key) const {
-  for (const auto& [name, value] : object_) {
+  for (const auto& [name, value] : members()) {
     if (name == key) return &value;
   }
   return nullptr;
 }
 
-// -- dump -------------------------------------------------------------------
+// -- Writer -----------------------------------------------------------------
 
 namespace {
 
-void dump_string(const std::string& s, std::string& out) {
-  out += '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\b': out += "\\b"; break;
-      case '\f': out += "\\f"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;  // UTF-8 bytes pass through verbatim
-        }
-    }
+constexpr double kExactIntegerLimit = 9007199254740992.0;  // 2^53
+
+/// Writes integral `v` (|v| <= 2^53) exactly as std::to_chars(double)
+/// would: the shortest round-trip digits of an integer in that range are
+/// its decimal digits minus trailing zeros, and to_chars picks plain ("f")
+/// notation unless scientific ("e") is strictly shorter. Returns the end.
+char* write_integral(double v, char* out) {
+  if (std::signbit(v)) *out++ = '-';
+  const auto magnitude = static_cast<std::uint64_t>(std::fabs(v));
+  // Up to four digits the plain form is never longer than "de+XX".
+  if (magnitude < 10000) return std::to_chars(out, out + 4, magnitude).ptr;
+  char digits[20];
+  const auto [digits_end, ec] =
+      std::to_chars(digits, digits + sizeof(digits), magnitude);
+  (void)ec;  // 2^53 has 16 digits
+  const auto n = static_cast<std::size_t>(digits_end - digits);
+  std::size_t significant = n;
+  while (significant > 1 && digits[significant - 1] == '0') --significant;
+  // "d[.ddd]e+XX": the exponent n - 1 <= 15 always takes two digits.
+  const std::size_t sci_length = significant + (significant > 1 ? 1 : 0) + 4;
+  if (n <= sci_length) return std::copy(digits, digits_end, out);
+  const std::size_t exponent = n - 1;
+  *out++ = digits[0];
+  if (significant > 1) {
+    *out++ = '.';
+    out = std::copy(digits + 1, digits + significant, out);
   }
-  out += '"';
+  *out++ = 'e';
+  *out++ = '+';
+  *out++ = static_cast<char>('0' + exponent / 10);
+  *out++ = static_cast<char>('0' + exponent % 10);
+  return out;
 }
 
-void dump_number(double v, std::string& out) {
-  if (!std::isfinite(v)) {
+}  // namespace
+
+Writer& Writer::key(std::string_view name) {
+  value(name);
+  out_ += ':';
+  need_comma_ = false;
+  return *this;
+}
+
+Writer& Writer::null() {
+  separate();
+  out_ += "null";
+  return *this;
+}
+
+Writer& Writer::value(bool b) {
+  separate();
+  out_ += b ? "true" : "false";
+  return *this;
+}
+
+Writer& Writer::value(double n) {
+  // One append per number: separator and digits go through a local buffer
+  // (a comma plus 24 characters covers every shortest-round-trip double).
+  char buf[40];
+  char* end = buf;
+  if (need_comma_) *end++ = ',';
+  need_comma_ = true;
+  if (std::fabs(n) <= kExactIntegerLimit &&
+      static_cast<double>(static_cast<std::int64_t>(n)) == n) {
+    end = write_integral(n, end);
+  } else if (std::isfinite(n)) {
+    end = std::to_chars(end, buf + sizeof(buf), n).ptr;
+  } else {
     // JSON has no NaN/Inf; the codec never emits them, but a defensive
     // writer must not produce unparseable text.
-    out += "null";
-    return;
+    end = std::copy_n("null", 4, end);
   }
-  char buf[32];
-  const auto [end, ec] = std::to_chars(buf, buf + sizeof(buf), v);
-  (void)ec;  // 32 bytes always suffice for shortest-round-trip doubles
-  out.append(buf, end);
+  out_.append(buf, end);
+  return *this;
 }
 
-void dump_value(const Value& value, std::string& out) {
+Writer& Writer::value(std::string_view s) {
+  separate();
+  out_ += '"';
+  std::size_t run = 0;  // start of the pending verbatim run
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    const auto c = static_cast<unsigned char>(s[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') continue;  // UTF-8 passes verbatim
+    out_.append(s.data() + run, i - run);
+    run = i + 1;
+    switch (c) {
+      case '"': out_ += "\\\""; break;
+      case '\\': out_ += "\\\\"; break;
+      case '\b': out_ += "\\b"; break;
+      case '\f': out_ += "\\f"; break;
+      case '\n': out_ += "\\n"; break;
+      case '\r': out_ += "\\r"; break;
+      case '\t': out_ += "\\t"; break;
+      default: {
+        static constexpr char kHex[] = "0123456789abcdef";
+        const char escape[] = {'\\', 'u', '0', '0', kHex[c >> 4], kHex[c & 0xF]};
+        out_.append(escape, sizeof(escape));
+      }
+    }
+  }
+  out_.append(s.data() + run, s.size() - run);
+  out_ += '"';
+  return *this;
+}
+
+namespace {
+
+void write_value(const Value& value, Writer& w) {
   switch (value.kind()) {
-    case Value::Kind::Null: out += "null"; break;
-    case Value::Kind::Bool: out += value.as_bool() ? "true" : "false"; break;
-    case Value::Kind::Number: dump_number(value.as_number(), out); break;
-    case Value::Kind::String: dump_string(value.as_string(), out); break;
-    case Value::Kind::Array: {
-      out += '[';
-      bool first = true;
-      for (const auto& item : value.items()) {
-        if (!first) out += ',';
-        first = false;
-        dump_value(item, out);
-      }
-      out += ']';
+    case Value::Kind::Null: w.null(); break;
+    case Value::Kind::Bool: w.value(value.as_bool()); break;
+    case Value::Kind::Number: w.value(value.as_number()); break;
+    case Value::Kind::String: w.value(value.as_string()); break;
+    case Value::Kind::Array:
+      w.begin_array();
+      for (const auto& item : value.items()) write_value(item, w);
+      w.end_array();
       break;
-    }
-    case Value::Kind::Object: {
-      out += '{';
-      bool first = true;
+    case Value::Kind::Object:
+      w.begin_object();
       for (const auto& [key, member] : value.members()) {
-        if (!first) out += ',';
-        first = false;
-        dump_string(key, out);
-        out += ':';
-        dump_value(member, out);
+        w.key(key);
+        write_value(member, w);
       }
-      out += '}';
+      w.end_object();
       break;
-    }
   }
 }
 
 }  // namespace
 
 std::string dump(const Value& value) {
-  std::string out;
-  dump_value(value, out);
-  return out;
+  Writer w;
+  write_value(value, w);
+  return w.take();
 }
 
 // -- parse ------------------------------------------------------------------
@@ -111,6 +201,12 @@ namespace {
 
 constexpr int kMaxDepth = 64;
 
+bool is_digit(char c) { return c >= '0' && c <= '9'; }
+
+}  // namespace
+
+/// Recursive descent over `text`, building each node in place (it is a
+/// friend of Value).
 class Parser {
  public:
   explicit Parser(std::string_view text) : text_(text) {}
@@ -137,8 +233,8 @@ class Parser {
     *error += " (at byte " + std::to_string(pos_) + ")";
   }
 
-  bool fail(const char* why) {
-    if (error_.empty()) error_ = why;
+  bool fail(std::string why) {
+    if (error_.empty()) error_ = std::move(why);
     return false;
   }
 
@@ -171,47 +267,53 @@ class Parser {
     skip_ws();
     if (pos_ >= text_.size()) return fail("unexpected end of input");
     switch (text_[pos_]) {
-      case 'n':
-        out = Value();
-        return parse_literal("null");
+      case 'n': return parse_literal("null");  // `out` starts null
       case 't':
-        out = Value(true);
+        out.data_ = true;
         return parse_literal("true");
       case 'f':
-        out = Value(false);
+        out.data_ = false;
         return parse_literal("false");
-      case '"': {
-        std::string s;
-        if (!parse_string(s)) return false;
-        out = Value(std::move(s));
-        return true;
-      }
+      case '"': return parse_string(out.data_.emplace<std::string>());
       case '[': return parse_array(out, depth);
       case '{': return parse_object(out, depth);
       default: return parse_number(out);
     }
   }
 
+  std::size_t skip_digits() {
+    const std::size_t start = pos_;
+    while (pos_ < text_.size() && is_digit(text_[pos_])) ++pos_;
+    return pos_ - start;
+  }
+
+  /// RFC 8259: [ "-" ] ( "0" / digit1-9 *digit ) [ "." 1*digit ]
+  /// [ ( "e" / "E" ) [ "+" / "-" ] 1*digit ].
   bool parse_number(Value& out) {
     const std::size_t start = pos_;
-    if (pos_ < text_.size() && text_[pos_] == '-') ++pos_;
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_];
-      if ((c >= '0' && c <= '9') || c == '.' || c == 'e' || c == 'E' ||
-          c == '+' || c == '-') {
-        ++pos_;
-      } else {
-        break;
-      }
+    const auto invalid = [&] {
+      pos_ = start;
+      return fail("invalid number");
+    };
+    consume('-');
+    const std::size_t int_start = pos_;
+    const std::size_t int_digits = skip_digits();
+    if (int_digits == 0 || (int_digits > 1 && text_[int_start] == '0')) {
+      return invalid();
+    }
+    if (consume('.') && skip_digits() == 0) return invalid();
+    if (pos_ < text_.size() && (text_[pos_] == 'e' || text_[pos_] == 'E')) {
+      ++pos_;
+      if (!consume('+')) consume('-');
+      if (skip_digits() == 0) return invalid();
     }
     double value = 0.0;
     const auto [end, ec] =
         std::from_chars(text_.data() + start, text_.data() + pos_, value);
-    if (ec != std::errc() || end != text_.data() + pos_ || pos_ == start) {
-      pos_ = start;
-      return fail("invalid number");
+    if (ec != std::errc() || end != text_.data() + pos_) {
+      return invalid();  // out of double range
     }
-    out = Value(value);
+    out.data_ = value;
     return true;
   }
 
@@ -255,16 +357,18 @@ class Parser {
   bool parse_string(std::string& out) {
     if (!consume('"')) return fail("expected string");
     while (true) {
+      // Copy the run up to the next quote, backslash or control byte.
+      const std::size_t run = pos_;
+      while (pos_ < text_.size()) {
+        const auto c = static_cast<unsigned char>(text_[pos_]);
+        if (c == '"' || c == '\\' || c < 0x20) break;
+        ++pos_;
+      }
+      out.append(text_.data() + run, pos_ - run);
       if (pos_ >= text_.size()) return fail("unterminated string");
       const char c = text_[pos_++];
       if (c == '"') return true;
-      if (static_cast<unsigned char>(c) < 0x20) {
-        return fail("raw control character in string");
-      }
-      if (c != '\\') {
-        out += c;
-        continue;
-      }
+      if (c != '\\') return fail("raw control character in string");
       if (pos_ >= text_.size()) return fail("unterminated escape");
       const char esc = text_[pos_++];
       switch (esc) {
@@ -298,15 +402,14 @@ class Parser {
     }
   }
 
+  // Elements and members are parsed straight into their container slot.
   bool parse_array(Value& out, int depth) {
     consume('[');
-    out = Value::array();
+    auto& items = out.data_.emplace<Value::Array>();
     skip_ws();
     if (consume(']')) return true;
     while (true) {
-      Value item;
-      if (!parse_value(item, depth + 1)) return false;
-      out.push_back(std::move(item));
+      if (!parse_value(items.emplace_back(), depth + 1)) return false;
       skip_ws();
       if (consume(']')) return true;
       if (!consume(',')) return fail("expected ',' or ']' in array");
@@ -315,30 +418,39 @@ class Parser {
 
   bool parse_object(Value& out, int depth) {
     consume('{');
-    out = Value::object();
+    auto& members = out.data_.emplace<Value::Object>();
     skip_ws();
     if (consume('}')) return true;
     while (true) {
       skip_ws();
-      std::string key;
-      if (!parse_string(key)) return false;
+      Member& member = members.emplace_back();  // O(1): checked at the close
+      if (!parse_string(member.first)) return false;
       skip_ws();
       if (!consume(':')) return fail("expected ':' in object");
-      Value member;
-      if (!parse_value(member, depth + 1)) return false;
-      out.set(std::move(key), std::move(member));
+      if (!parse_value(member.second, depth + 1)) return false;
       skip_ws();
-      if (consume('}')) return true;
+      if (consume('}')) return unique_keys(members);
       if (!consume(',')) return fail("expected ',' or '}' in object");
     }
+  }
+
+  /// Refuses an object that repeats a key, so no copy silently wins.
+  /// O(n log n) in the member count; `keys_` is reused because a nested
+  /// object is checked before its parent closes.
+  bool unique_keys(const std::vector<Member>& members) {
+    keys_.clear();
+    for (const auto& member : members) keys_.push_back(member.first);
+    std::sort(keys_.begin(), keys_.end());
+    const auto dup = std::adjacent_find(keys_.begin(), keys_.end());
+    if (dup == keys_.end()) return true;
+    return fail("duplicate key '" + std::string(*dup) + "'");
   }
 
   std::string_view text_;
   std::size_t pos_ = 0;
   std::string error_;
+  std::vector<std::string_view> keys_;
 };
-
-}  // namespace
 
 std::optional<Value> parse(std::string_view text, std::string* error) {
   return Parser(text).run(error);

@@ -166,6 +166,14 @@ TEST(Json, MalformedInputsAreErrorsNotAborts) {
   EXPECT_FALSE(json::parse("{\"a\":1} junk", &error).has_value());
   EXPECT_FALSE(json::parse("nul", &error).has_value());
   EXPECT_FALSE(json::parse("\"unterminated", &error).has_value());
+  // Numbers follow RFC 8259: no leading zeros, digits on both sides of the
+  // point, digits after the exponent.
+  for (const char* number :
+       {"01", "00", "-01", ".5", "-.5", "1.", "1.e3", "-", "+1", "1e", "1e+",
+        "0x10", "1.5.2", "--1", "[01]", "{\"a\":.5}"}) {
+    EXPECT_FALSE(json::parse(number, &error).has_value()) << number;
+    EXPECT_NE(error.find("at byte"), std::string::npos) << number;
+  }
   // Depth cap: 65 nested arrays exceed the 64-level limit...
   EXPECT_FALSE(
       json::parse(std::string(65, '[') + std::string(65, ']'), &error).has_value());

@@ -10,6 +10,8 @@
 //     allocation-free in steady state at scale (same counting-operator-new
 //     guard topology_test pins at c532 — scratch sizing that silently
 //     assumed paper-sized circuits would fail here).
+//  4. A spec as wide as the wire allows is refused in linear time: JSON
+//     object parsing once rescanned every member per key.
 //
 // Budgets are deliberately tiny: the tier proves "correct and fast at
 // scale", not converged quality, and it must stay seconds-long even in
@@ -18,6 +20,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <memory>
 #include <new>
@@ -27,6 +30,7 @@
 #include "experiments/workloads.hpp"
 #include "netlist/analysis.hpp"
 #include "netlist/benchmarks.hpp"
+#include "service/codec.hpp"
 #include "solver/solver.hpp"
 #include "tabu/compound.hpp"
 #include "tabu/diversify.hpp"
@@ -175,6 +179,42 @@ TEST(Stress, DiversifyAndCompoundBuffersAllocationFreeAt50k) {
   const std::uint64_t after = g_allocations.load();
   EXPECT_EQ(after - before, 0u)
       << "diversify/compound allocated in steady state at 50k gates";
+}
+
+/// decode_spec on `text`; returns the seconds it took and requires a
+/// rejection whose message contains `why`.
+double seconds_to_reject(const std::string& text, const std::string& why) {
+  const auto start = std::chrono::steady_clock::now();
+  std::string error;
+  const bool accepted = service::decode_spec(text, &error).has_value();
+  const std::chrono::duration<double> took = std::chrono::steady_clock::now() - start;
+  EXPECT_FALSE(accepted);
+  EXPECT_NE(error.find(why), std::string::npos) << error;
+  return took.count();
+}
+
+TEST(Stress, WideSpecIsRejectedInLinearTime) {
+  constexpr int kKeys = 200000;
+  std::string distinct = R"({"circuit":"c532")";
+  std::string repeated = distinct;
+  for (int i = 0; i < kKeys; ++i) {
+    distinct += ",\"key" + std::to_string(i) + "\":" + std::to_string(i);
+    repeated += R"(,"seed":1)";
+  }
+  distinct += '}';
+  repeated += '}';
+  const double distinct_s = seconds_to_reject(distinct, "unknown key 'key0'");
+  const double repeated_s = seconds_to_reject(repeated, "duplicate key 'seed'");
+#ifdef NDEBUG
+  // Optimized builds only: sanitizer and Debug builds are slower per byte,
+  // not slower per key, and the quadratic parse this guards against took
+  // 20 s for 80k keys.
+  EXPECT_LT(distinct_s, 1.0);
+  EXPECT_LT(repeated_s, 1.0);
+#else
+  (void)distinct_s;
+  (void)repeated_s;
+#endif
 }
 
 }  // namespace
