@@ -58,7 +58,15 @@ int main(int argc, char** argv) {
   JobRequest job;
   job.circuit = circuit;
   job.spec.engine = cli.get("engine", "tabu");
-  job.spec.seed = static_cast<std::uint64_t>(cli.get_int("seed", 1));
+  const std::string seed_text = cli.get("seed", "1");
+  const auto seed = parse_seed(seed_text);
+  if (!seed) {
+    std::fprintf(stderr,
+                 "pts_client: --seed takes a whole non-negative integer, got '%s'\n",
+                 seed_text.c_str());
+    return 2;
+  }
+  job.spec.seed = *seed;
   job.spec.tabu.iterations = static_cast<std::size_t>(cli.get_int("iterations", 500));
   job.spec.stop.max_seconds = cli.get_double("max-seconds", 0.0);
   if (cli.has("target-cost")) {

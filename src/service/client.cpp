@@ -10,12 +10,14 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <charconv>
 #include <chrono>
 #include <cstring>
 #include <thread>
 #include <utility>
 
 #include "support/fault.hpp"
+#include "support/json.hpp"
 
 namespace pts::service {
 
@@ -274,11 +276,24 @@ std::optional<WelcomeMsg> Client::hello(std::string* error) {
   }
 }
 
+std::optional<std::uint64_t> parse_seed(std::string_view text) {
+  std::uint64_t seed = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, seed);
+  if (ec != std::errc{} || ptr != end) return std::nullopt;
+  return seed;
+}
+
 std::optional<std::uint64_t> Client::submit(const JobRequest& job, bool stream,
                                             std::uint64_t progress_stride,
                                             std::string* error, bool* queued,
                                             std::uint64_t request_id,
                                             bool* cached) {
+  if (job.spec.seed > json::kMaxExactInteger) {
+    set_error(error, "seed " + std::to_string(job.spec.seed) +
+                         " is above 2^53, the largest the JSON wire carries exactly");
+    return std::nullopt;
+  }
   SubmitMsg submit;
   submit.spec_json = encode_spec(job);
   submit.stream = stream;

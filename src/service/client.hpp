@@ -20,6 +20,7 @@
 #include <functional>
 #include <optional>
 #include <string>
+#include <string_view>
 
 #include "pvm/frame.hpp"
 #include "service/codec.hpp"
@@ -27,6 +28,10 @@
 #include "solver/solver.hpp"
 
 namespace pts::service {
+
+/// A seed as pts_client's --seed takes it: decimal digits only, within a
+/// u64. Anything else ("abc", "-1", "1.5", "") is nullopt.
+std::optional<std::uint64_t> parse_seed(std::string_view text);
 
 class Client {
  public:
@@ -52,7 +57,9 @@ class Client {
   /// Capability handshake; must be the first request on a connection.
   std::optional<WelcomeMsg> hello(std::string* error);
 
-  /// Submits a job; returns the session id. `stream` / `progress_stride`
+  /// Submits a job; returns the session id. A seed above 2^53 is refused
+  /// before any byte is sent: JSON numbers are doubles, so the daemon would
+  /// solve (and cache) a rounded seed. `stream` / `progress_stride`
   /// control kProgress pushes (see SubmitMsg). `queued` (optional out)
   /// reports whether the job was queued rather than started; `request_id`
   /// is forwarded for server-side retry correlation (0 = unset); `cached`

@@ -4,22 +4,22 @@
 // A job crosses the wire as a JobRequest: a benchmark circuit *name* plus a
 // SolveSpec with the non-serializable fields left empty (the daemon resolves
 // the name against the benchmark registry and attaches its own CancelToken /
-// Observer). Decoding is strict: unknown keys, wrong types, and out-of-range
-// numbers are errors, never silently ignored — the daemon must not accept a
-// spec it half-understood. Coverage: engine, circuit, seed, the serving
-// deadline (deadline_seconds), and the cost /
-// tabu (incl. compound) / anneal / local / parallel (incl. diversify) /
-// shared / stop blocks. The parallel cluster, collection policies, and sim
-// cost model keep their defaults (they shape the emulation experiments, not
-// a served solve; extend the schema here if that changes).
+// Observer). The schema is one field list per type: JobRequest's in
+// codec.cpp, the SolveSpec blocks and SolveResult in solver/fields.hpp
+// (which also says what the spec leaves out). Encoding streams those lists
+// into one json::Writer — no DOM is built. Decoding walks the same lists
+// through the strict json::Reader: unknown keys, repeated keys, wrong types
+// and out-of-range numbers are errors naming their path, never silently
+// ignored — the daemon must not accept a spec it half-understood. Absent
+// members keep their defaults (clients send partial specs); only the
+// circuit is required.
 //
-// Encoding streams each field straight into one json::Writer — no DOM is
-// built on the way out. Decoding parses into the strict json::Value DOM
-// and reads it field by field; json::parse refuses a duplicated key and
-// the reader refuses an unknown one. Doubles round-trip bit-exactly through support/json.hpp,
-// so decode(encode(result)) == result field-for-field — the property
-// behind the daemon-vs-direct bit-identity guarantee
-// (tests/service_test.cpp).
+// Integers ride as doubles, exact to 2^53: the reader refuses a larger
+// one, and Client::submit refuses a seed above 2^53 before sending it,
+// since it would arrive rounded and solve (and cache under) another seed.
+// Doubles round-trip bit-exactly through support/json.hpp, so
+// decode(encode(result)) == result field-for-field — the property behind
+// the daemon-vs-direct bit-identity guarantee (tests/service_test.cpp).
 #pragma once
 
 #include <cstdint>

@@ -1,11 +1,9 @@
 #include "solver/checkpoint.hpp"
 
-#include <charconv>
-#include <cmath>
-#include <limits>
 #include <utility>
 
 #include "netlist/io.hpp"
+#include "solver/fields.hpp"
 #include "support/check.hpp"
 #include "support/json.hpp"
 #include "support/stopwatch.hpp"
@@ -94,31 +92,6 @@ CheckpointedSolve run_tabu_segment(const SolveSpec& spec, const Checkpoint* from
   return out;
 }
 
-// ---------------------------------------------------------------------------
-// JSON encode.
-
-std::string hex_u64(std::uint64_t v) {
-  char buf[17];
-  const auto res = std::to_chars(buf, buf + sizeof(buf), v, 16);
-  return std::string(buf, res.ptr);
-}
-
-/// `key` followed by the numbers of `vs` as an array.
-template <typename T>
-void write_numbers(json::Writer& w, std::string_view key, const std::vector<T>& vs) {
-  w.key(key).begin_array();
-  for (const T v : vs) w.value(v);
-  w.end_array();
-}
-
-void write_series(json::Writer& w, std::string_view key, const Series& s) {
-  w.key(key).begin_object();
-  w.field("name", s.name);
-  write_numbers(w, "x", s.x);
-  write_numbers(w, "y", s.y);
-  w.end_object();
-}
-
 // True when `slots` places every movable cell of `nl` exactly once (the
 // length is checked by the caller).
 bool is_movable_permutation(const netlist::Netlist& nl,
@@ -201,346 +174,74 @@ CheckpointedSolve resume_from_checkpoint(const SolveSpec& spec,
   return run_tabu_segment(spec, &checkpoint);
 }
 
-std::string encode_checkpoint(const Checkpoint& ck) {
-  // Member order is the checkpoint format (tests/codec_test.cpp pins a
-  // golden encoding).
-  json::Writer w;
-  w.begin_object();
-  w.field("version", 1.0);
-  w.field("engine", ck.engine);
-  w.field("seed", hex_u64(ck.seed));
-  w.field("circuit_hash", hex_u64(ck.circuit_hash));
-  w.field("initial_cost", ck.initial_cost);
-  w.field("elapsed_seconds", ck.elapsed_seconds);
+// The checkpoint's field lists (the shared ones are in solver/fields.hpp).
+// Checkpoints are read under Presence::Required: a checkpoint missing any
+// member is damaged, not partial.
 
-  w.key("eval").begin_object();
-  write_numbers(w, "slots", ck.eval.slots);
-  w.field("hpwl_total", ck.eval.hpwl_total);
-  write_numbers(w, "wire_sums", ck.eval.wire_sums);
-  w.field("swaps_applied", ck.eval.swaps_applied);
-  w.field("swaps_since_rebuild", ck.eval.swaps_since_rebuild);
-  w.end_object();
-
-  const tabu::TabuSearch::State& search = ck.search;
-  w.key("search").begin_object();
-  w.key("rng").begin_object();
-  w.key("s").begin_array();
-  for (std::uint64_t word : search.rng.s) w.value(hex_u64(word));
-  w.end_array();
-  w.field("spare", search.rng.spare);
-  w.field("has_spare", search.rng.has_spare);
-  w.end_object();
-  w.key("tabu_entries").begin_array();
-  for (const tabu::Move& m : search.tabu_entries) {
-    w.begin_array().value(m.a).value(m.b).end_array();
-  }
-  w.end_array();
-  w.key("frequency").begin_object();
-  write_numbers(w, "counts", search.frequency.counts);
-  write_numbers(w, "improving_counts", search.frequency.improving_counts);
-  w.field("transitions", search.frequency.transitions);
-  w.field("max_count", search.frequency.max_count);
-  w.field("max_improving", search.frequency.max_improving);
-  w.end_object();
-  w.field("best_cost", search.best_cost);
-  w.field("best_quality", search.best_quality);
-  w.key("best_objectives").begin_object();
-  w.field("wirelength", search.best_objectives.wirelength);
-  w.field("delay", search.best_objectives.delay);
-  w.field("area", search.best_objectives.area);
-  w.end_object();
-  write_numbers(w, "best_slots", search.best_slots);
-  w.key("stats").begin_object();
-  w.field("iterations", search.stats.iterations);
-  w.field("accepted", search.stats.accepted);
-  w.field("rejected_tabu", search.stats.rejected_tabu);
-  w.field("aspirated", search.stats.aspirated);
-  w.field("early_accepts", search.stats.early_accepts);
-  w.field("trials", search.stats.trials);
-  w.end_object();
-  w.end_object();
-
-  write_series(w, "cost_trace", ck.cost_trace);
-  write_series(w, "best_trace", ck.best_trace);
-  write_series(w, "best_vs_time", ck.best_vs_time);
-  w.end_object();
-  return w.take();
+template <typename IO, Of<cost::Evaluator::CheckpointState> T>
+void fields(IO& io, T& eval) {
+  io.field("slots", eval.slots);
+  io.field("hpwl_total", eval.hpwl_total);
+  io.field("wire_sums", eval.wire_sums);
+  io.field("swaps_applied", eval.swaps_applied);
+  io.field("swaps_since_rebuild", eval.swaps_since_rebuild);
 }
 
-namespace {
+template <typename IO, Of<Rng::State> T>
+void fields(IO& io, T& rng) {
+  io.field("s", hex(rng.s));
+  io.field("spare", rng.spare);
+  io.field("has_spare", rng.has_spare);
+}
 
-// ---------------------------------------------------------------------------
-// JSON decode. First-error-wins; every helper returns false after recording.
+template <typename IO, Of<tabu::FrequencyMemory::State> T>
+void fields(IO& io, T& frequency) {
+  io.field("counts", frequency.counts);
+  io.field("improving_counts", frequency.improving_counts);
+  io.field("transitions", frequency.transitions);
+  io.field("max_count", frequency.max_count);
+  io.field("max_improving", frequency.max_improving);
+}
 
-struct Dec {
-  std::string error;
+template <typename IO, Of<tabu::TabuSearch::State> T>
+void fields(IO& io, T& search) {
+  io.field("rng", search.rng);
+  io.field("tabu_entries", search.tabu_entries);
+  io.field("frequency", search.frequency);
+  io.field("best_cost", search.best_cost);
+  io.field("best_quality", search.best_quality);
+  io.field("best_objectives", search.best_objectives);
+  io.field("best_slots", search.best_slots);
+  io.field("stats", search.stats);
+}
 
-  bool fail(std::string why) {
-    if (error.empty()) error = "checkpoint: " + std::move(why);
-    return false;
-  }
+template <typename IO, Of<Checkpoint> T>
+void fields(IO& io, T& ck) {
+  double version = 1.0;  // the format version; the reader overwrites it
+  io.field("version", version);
+  io.require(version == 1.0, "unsupported version");
+  io.field("engine", ck.engine);
+  io.require(ck.engine == "tabu", "engine must be 'tabu'");
+  io.field("seed", hex(ck.seed));
+  io.field("circuit_hash", hex(ck.circuit_hash));
+  io.field("initial_cost", ck.initial_cost);
+  io.field("elapsed_seconds", ck.elapsed_seconds);
+  io.field("eval", ck.eval);
+  io.field("search", ck.search);
+  io.field("cost_trace", ck.cost_trace);
+  io.field("best_trace", ck.best_trace);
+  io.field("best_vs_time", ck.best_vs_time);
+}
 
-  const json::Value* get_object(const json::Value& obj, const char* key) {
-    const json::Value* v = obj.find(key);
-    if (v == nullptr || !v->is_object()) {
-      fail(std::string("'") + key + "' must be an object");
-      return nullptr;
-    }
-    return v;
-  }
-
-  bool get_finite(const json::Value& obj, const char* key, double* out) {
-    const json::Value* v = obj.find(key);
-    if (v == nullptr || !v->is_number()) {
-      return fail(std::string("'") + key + "' must be a number");
-    }
-    if (!std::isfinite(v->as_number())) {
-      return fail(std::string("'") + key + "' must be finite");
-    }
-    *out = v->as_number();
-    return true;
-  }
-
-  bool get_bool(const json::Value& obj, const char* key, bool* out) {
-    const json::Value* v = obj.find(key);
-    if (v == nullptr || !v->is_bool()) {
-      return fail(std::string("'") + key + "' must be a boolean");
-    }
-    *out = v->as_bool();
-    return true;
-  }
-
-  bool get_string(const json::Value& obj, const char* key, std::string* out) {
-    const json::Value* v = obj.find(key);
-    if (v == nullptr || !v->is_string()) {
-      return fail(std::string("'") + key + "' must be a string");
-    }
-    *out = v->as_string();
-    return true;
-  }
-
-  bool hex_to_u64(const std::string& text, const char* what, std::uint64_t* out) {
-    const char* begin = text.data();
-    const char* end = begin + text.size();
-    const auto res = std::from_chars(begin, end, *out, 16);
-    if (res.ec != std::errc{} || res.ptr != end || text.empty()) {
-      return fail(std::string("'") + what + "' must be a hex u64 string");
-    }
-    return true;
-  }
-
-  bool get_hex_u64(const json::Value& obj, const char* key, std::uint64_t* out) {
-    std::string text;
-    if (!get_string(obj, key, &text)) return false;
-    return hex_to_u64(text, key, out);
-  }
-
-  bool number_to_uint(const json::Value& v, const char* what, std::uint64_t* out) {
-    if (!v.is_number()) return fail(std::string("'") + what + "' must be a number");
-    const double d = v.as_number();
-    if (!(d >= 0.0) || d != std::floor(d) || d > 9007199254740992.0) {
-      return fail(std::string("'") + what +
-                  "' must be a non-negative integer within 2^53");
-    }
-    *out = static_cast<std::uint64_t>(d);
-    return true;
-  }
-
-  bool get_uint(const json::Value& obj, const char* key, std::uint64_t* out) {
-    const json::Value* v = obj.find(key);
-    if (v == nullptr) return fail(std::string("'") + key + "' is required");
-    return number_to_uint(*v, key, out);
-  }
-
-  bool get_doubles(const json::Value& obj, const char* key,
-                   std::vector<double>* out) {
-    const json::Value* v = obj.find(key);
-    if (v == nullptr || !v->is_array()) {
-      return fail(std::string("'") + key + "' must be an array");
-    }
-    out->clear();
-    out->reserve(v->items().size());
-    for (const json::Value& item : v->items()) {
-      if (!item.is_number() || !std::isfinite(item.as_number())) {
-        return fail(std::string("'") + key + "' must hold finite numbers");
-      }
-      out->push_back(item.as_number());
-    }
-    return true;
-  }
-
-  template <typename T>
-  bool get_uints(const json::Value& obj, const char* key, std::vector<T>* out) {
-    const json::Value* v = obj.find(key);
-    if (v == nullptr || !v->is_array()) {
-      return fail(std::string("'") + key + "' must be an array");
-    }
-    out->clear();
-    out->reserve(v->items().size());
-    for (const json::Value& item : v->items()) {
-      std::uint64_t u = 0;
-      if (!number_to_uint(item, key, &u)) return false;
-      if (u > std::numeric_limits<T>::max()) {
-        return fail(std::string("'") + key + "' element out of range");
-      }
-      out->push_back(static_cast<T>(u));
-    }
-    return true;
-  }
-
-  bool get_series(const json::Value& obj, const char* key, Series* out) {
-    const json::Value* v = get_object(obj, key);
-    if (v == nullptr) return false;
-    if (!get_string(*v, "name", &out->name)) return false;
-    if (!get_doubles(*v, "x", &out->x)) return false;
-    if (!get_doubles(*v, "y", &out->y)) return false;
-    if (out->x.size() != out->y.size()) {
-      return fail(std::string("'") + key + "' x/y lengths differ");
-    }
-    return true;
-  }
-};
-
-}  // namespace
+std::string encode_checkpoint(const Checkpoint& ck) { return encode_fields(ck); }
 
 std::string decode_checkpoint(const std::string& text, Checkpoint* out) {
   PTS_CHECK(out != nullptr);
-  std::string parse_error;
-  const auto root = json::parse(text, &parse_error);
-  if (!root.has_value()) return "checkpoint: invalid JSON: " + parse_error;
-  if (!root->is_object()) return "checkpoint: top level must be an object";
-
-  Dec dec;
   Checkpoint ck;
-  double version = 0.0;
-  if (!dec.get_finite(*root, "version", &version)) return dec.error;
-  if (version != 1.0) return "checkpoint: unsupported version";
-  if (!dec.get_string(*root, "engine", &ck.engine)) return dec.error;
-  if (ck.engine != "tabu") return "checkpoint: engine must be 'tabu'";
-  if (!dec.get_hex_u64(*root, "seed", &ck.seed)) return dec.error;
-  if (!dec.get_hex_u64(*root, "circuit_hash", &ck.circuit_hash)) return dec.error;
-  if (!dec.get_finite(*root, "initial_cost", &ck.initial_cost)) return dec.error;
-  if (!dec.get_finite(*root, "elapsed_seconds", &ck.elapsed_seconds)) {
-    return dec.error;
-  }
-
-  const json::Value* eval = dec.get_object(*root, "eval");
-  if (eval == nullptr) return dec.error;
-  if (!dec.get_uints(*eval, "slots", &ck.eval.slots)) return dec.error;
-  if (!dec.get_finite(*eval, "hpwl_total", &ck.eval.hpwl_total)) return dec.error;
-  if (!dec.get_doubles(*eval, "wire_sums", &ck.eval.wire_sums)) return dec.error;
-  if (!dec.get_uint(*eval, "swaps_applied", &ck.eval.swaps_applied)) {
-    return dec.error;
-  }
-  if (!dec.get_uint(*eval, "swaps_since_rebuild", &ck.eval.swaps_since_rebuild)) {
-    return dec.error;
-  }
-
-  const json::Value* search = dec.get_object(*root, "search");
-  if (search == nullptr) return dec.error;
-  const json::Value* rng = dec.get_object(*search, "rng");
-  if (rng == nullptr) return dec.error;
-  {
-    const json::Value* words = rng->find("s");
-    if (words == nullptr || !words->is_array() || words->items().size() != 4) {
-      return "checkpoint: 'rng.s' must be an array of 4 hex strings";
-    }
-    for (int i = 0; i < 4; ++i) {
-      const json::Value& w = words->items()[static_cast<std::size_t>(i)];
-      if (!w.is_string()) return "checkpoint: 'rng.s' must hold hex strings";
-      if (!dec.hex_to_u64(w.as_string(), "rng.s", &ck.search.rng.s[i])) {
-        return dec.error;
-      }
-    }
-    if (!dec.get_finite(*rng, "spare", &ck.search.rng.spare)) return dec.error;
-    if (!dec.get_bool(*rng, "has_spare", &ck.search.rng.has_spare)) {
-      return dec.error;
-    }
-  }
-  {
-    const json::Value* entries = search->find("tabu_entries");
-    if (entries == nullptr || !entries->is_array()) {
-      return "checkpoint: 'tabu_entries' must be an array";
-    }
-    ck.search.tabu_entries.clear();
-    ck.search.tabu_entries.reserve(entries->items().size());
-    for (const json::Value& pair : entries->items()) {
-      if (!pair.is_array() || pair.items().size() != 2) {
-        return "checkpoint: each tabu entry must be a [a, b] pair";
-      }
-      std::uint64_t a = 0, b = 0;
-      if (!dec.number_to_uint(pair.items()[0], "tabu_entries", &a) ||
-          !dec.number_to_uint(pair.items()[1], "tabu_entries", &b)) {
-        return dec.error;
-      }
-      if (a > std::numeric_limits<netlist::CellId>::max() ||
-          b > std::numeric_limits<netlist::CellId>::max()) {
-        return "checkpoint: tabu entry cell id out of range";
-      }
-      ck.search.tabu_entries.push_back(
-          tabu::Move{static_cast<netlist::CellId>(a),
-                     static_cast<netlist::CellId>(b)});
-    }
-  }
-  const json::Value* freq = dec.get_object(*search, "frequency");
-  if (freq == nullptr) return dec.error;
-  if (!dec.get_uints(*freq, "counts", &ck.search.frequency.counts)) {
-    return dec.error;
-  }
-  if (!dec.get_uints(*freq, "improving_counts",
-                     &ck.search.frequency.improving_counts)) {
-    return dec.error;
-  }
-  if (!dec.get_uint(*freq, "transitions", &ck.search.frequency.transitions)) {
-    return dec.error;
-  }
-  if (!dec.get_uint(*freq, "max_count", &ck.search.frequency.max_count)) {
-    return dec.error;
-  }
-  if (!dec.get_uint(*freq, "max_improving", &ck.search.frequency.max_improving)) {
-    return dec.error;
-  }
-  if (!dec.get_finite(*search, "best_cost", &ck.search.best_cost)) {
-    return dec.error;
-  }
-  if (!dec.get_finite(*search, "best_quality", &ck.search.best_quality)) {
-    return dec.error;
-  }
-  const json::Value* objectives = dec.get_object(*search, "best_objectives");
-  if (objectives == nullptr) return dec.error;
-  if (!dec.get_finite(*objectives, "wirelength",
-                      &ck.search.best_objectives.wirelength) ||
-      !dec.get_finite(*objectives, "delay", &ck.search.best_objectives.delay) ||
-      !dec.get_finite(*objectives, "area", &ck.search.best_objectives.area)) {
-    return dec.error;
-  }
-  if (!dec.get_uints(*search, "best_slots", &ck.search.best_slots)) {
-    return dec.error;
-  }
-  const json::Value* stats = dec.get_object(*search, "stats");
-  if (stats == nullptr) return dec.error;
-  {
-    std::uint64_t u = 0;
-    if (!dec.get_uint(*stats, "iterations", &u)) return dec.error;
-    ck.search.stats.iterations = static_cast<std::size_t>(u);
-    if (!dec.get_uint(*stats, "accepted", &u)) return dec.error;
-    ck.search.stats.accepted = static_cast<std::size_t>(u);
-    if (!dec.get_uint(*stats, "rejected_tabu", &u)) return dec.error;
-    ck.search.stats.rejected_tabu = static_cast<std::size_t>(u);
-    if (!dec.get_uint(*stats, "aspirated", &u)) return dec.error;
-    ck.search.stats.aspirated = static_cast<std::size_t>(u);
-    if (!dec.get_uint(*stats, "early_accepts", &u)) return dec.error;
-    ck.search.stats.early_accepts = static_cast<std::size_t>(u);
-    if (!dec.get_uint(*stats, "trials", &u)) return dec.error;
-    ck.search.stats.trials = static_cast<std::size_t>(u);
-  }
-
-  if (!dec.get_series(*root, "cost_trace", &ck.cost_trace)) return dec.error;
-  if (!dec.get_series(*root, "best_trace", &ck.best_trace)) return dec.error;
-  if (!dec.get_series(*root, "best_vs_time", &ck.best_vs_time)) return dec.error;
-
-  *out = std::move(ck);
-  return {};
+  std::string error =
+      decode_fields(text, "checkpoint", json::Reader::Presence::Required, ck);
+  if (error.empty()) *out = std::move(ck);
+  return error;
 }
 
 }  // namespace pts::solver

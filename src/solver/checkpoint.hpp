@@ -19,7 +19,11 @@
 // Checkpoints serialize to JSON (encode/decode_checkpoint) for persistence
 // across processes. u64 fields (seed, circuit hash, RNG state words) are
 // hex strings because JSON numbers are doubles (exact only to 2^53);
-// everything else uses the service JSON core's bit-exact double round-trip.
+// everything else uses the JSON core's bit-exact double round-trip. The
+// field lists sit in checkpoint.cpp and share solver/fields.hpp's for
+// traces, objectives and stats; decoding goes through the same strict
+// json::Reader as the wire codec, with every member required: a missing,
+// unknown or repeated member at any depth is refused, by path.
 // decode_checkpoint() never aborts: malformed input returns an error
 // string.
 #pragma once

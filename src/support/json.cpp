@@ -58,8 +58,6 @@ const Value* Value::find(std::string_view key) const {
 
 namespace {
 
-constexpr double kExactIntegerLimit = 9007199254740992.0;  // 2^53
-
 /// Writes integral `v` (|v| <= 2^53) exactly as std::to_chars(double)
 /// would: the shortest round-trip digits of an integer in that range are
 /// its decimal digits minus trailing zeros, and to_chars picks plain ("f")
@@ -120,7 +118,7 @@ Writer& Writer::value(double n) {
   char* end = buf;
   if (need_comma_) *end++ = ',';
   need_comma_ = true;
-  if (std::fabs(n) <= kExactIntegerLimit &&
+  if (std::fabs(n) <= static_cast<double>(kMaxExactInteger) &&
       static_cast<double>(static_cast<std::int64_t>(n)) == n) {
     end = write_integral(n, end);
   } else if (std::isfinite(n)) {
@@ -454,6 +452,92 @@ class Parser {
 
 std::optional<Value> parse(std::string_view text, std::string* error) {
   return Parser(text).run(error);
+}
+
+// -- conversions ------------------------------------------------------------
+
+bool convert(const Value& v, std::string& out) {
+  out = v.as_string();
+  return v.is_string();
+}
+
+bool convert(const Value& v, bool& out) {
+  out = v.as_bool();
+  return v.is_bool();
+}
+
+bool convert(const Value& v, double& out) {
+  out = v.as_number();
+  return v.is_number() && std::isfinite(out);
+}
+
+bool convert(const Value& v, std::optional<double>& out) {
+  if (v.is_null()) {
+    out.reset();
+    return true;
+  }
+  return convert(v, out.emplace());
+}
+
+// -- Reader -----------------------------------------------------------------
+
+Reader::Reader(const Value& value, std::string_view context, Presence presence,
+               std::string& error)
+    : value_(&value), name_(context), presence_(presence), error_(error) {
+  if (!value.is_object()) fail("expected an object");
+}
+
+Reader::Reader(Reader& parent, std::string_view key)
+    : value_(parent.member(key)),
+      parent_(&parent),
+      name_(key),
+      presence_(parent.presence_),
+      error_(parent.error_) {
+  if (value_ != nullptr && !value_->is_object()) {
+    parent.fail("'" + std::string(key) + "' must be an object");
+    value_ = nullptr;
+  }
+}
+
+const Value* Reader::member(std::string_view key) {
+  if (value_ == nullptr || !ok()) return nullptr;
+  const std::vector<Member>& members = value_->members();
+  for (std::size_t i = 0; i < members.size(); ++i) {
+    if (members[i].first != key) continue;
+    ++matched_;
+    if (i < 64) matched_mask_ |= std::uint64_t{1} << i;
+    return &members[i].second;
+  }
+  if (presence_ == Presence::Required) {
+    fail("'" + std::string(key) + "' is required");
+  }
+  return nullptr;
+}
+
+void Reader::fail(std::string_view why) {
+  if (!ok()) return;
+  error_ = path();
+  error_ += ": ";
+  error_ += why;
+}
+
+void Reader::finish() {
+  if (value_ == nullptr || !ok()) return;
+  const std::vector<Member>& members = value_->members();
+  if (matched_ == members.size()) return;
+  // Some member went unread; the first one sits below index 64 because
+  // fewer than 64 were matched (parse() already refused repeated keys).
+  std::size_t first = 0;
+  while (first < members.size() && first < 64 &&
+         (matched_mask_ >> first & 1) != 0) {
+    ++first;
+  }
+  fail("unknown key '" + members[first].first + "'");
+}
+
+std::string Reader::path() const {
+  if (parent_ == nullptr) return std::string(name_);
+  return parent_->path() + "." + std::string(name_);
 }
 
 }  // namespace pts::json

@@ -16,7 +16,7 @@
 //    in-process one. Integral values up to 2^53 take a fast path that
 //    reproduces to_chars' choice between "100" and "1e+05" exactly.
 //  - A lean node. `Value` is a tagged std::variant (40 bytes on LP64): the
-//    decoders build a strict DOM and read it through checked accessors.
+//    decoders build a DOM and read it through one strict `Reader`.
 //  - parse() never aborts on malformed text: it returns nullopt with a
 //    position-tagged error. Numbers follow RFC 8259's grammar exactly (no
 //    leading zeros, no bare '.', digits on both sides of the point). Input
@@ -25,15 +25,21 @@
 //    in document order, and each object's keys are checked once, by a sort,
 //    when it closes. A repeated key fails the parse, so no decoder ever
 //    sees one and the last copy never silently wins.
+//  - One reader. `Reader` serves every decoder (spec, result, checkpoint):
+//    the first error wins and carries the object's path, unknown keys are
+//    refused, values pass convert()'s checks, and each document sets
+//    whether an absent member defaults or is refused.
 //
 // Object lookup is linear (documents here are small structs, not
-// databases). Numbers are always doubles, which covers every field the
-// codec moves: the largest integer field (a u64 seed) is accepted only up
-// to 2^53, the range where doubles are exact.
+// databases). Numbers are always doubles, exact to 2^53 (kMaxExactInteger):
+// the reader refuses a larger integer, Client::submit refuses a larger
+// seed before sending, and checkpoints carry u64s as hex strings.
 #pragma once
 
+#include <algorithm>
 #include <concepts>
 #include <cstdint>
+#include <limits>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -122,13 +128,6 @@ class Writer {
     return value(static_cast<double>(n));
   }
 
-  /// key(name) followed by value(v).
-  template <typename T>
-  Writer& field(std::string_view name, const T& v) {
-    key(name);
-    return value(v);
-  }
-
   /// Moves out the text written so far (call once, when done).
   std::string take() { return std::move(out_); }
 
@@ -161,5 +160,118 @@ std::string dump(const Value& value);
 /// description. Nesting deeper than 64 levels and an object that repeats a
 /// key are rejected.
 std::optional<Value> parse(std::string_view text, std::string* error);
+
+/// The largest integer a JSON number carries exactly (numbers are doubles).
+inline constexpr std::uint64_t kMaxExactInteger = std::uint64_t{1} << 53;
+
+/// The largest `U` a JSON number can carry.
+template <std::unsigned_integral U>
+inline constexpr std::uint64_t kUintLimit =
+    std::min<std::uint64_t>(kMaxExactInteger, std::numeric_limits<U>::max());
+
+// Conversions out of a Value, one per type the decoders read; each returns
+// false when `v` breaks that type's rule (`out` is then unspecified).
+bool convert(const Value& v, std::string& out);
+bool convert(const Value& v, bool& out);
+/// Finite only: the grammar has no NaN/Inf, but an in-process Value can.
+bool convert(const Value& v, double& out);
+/// A finite number, or null for nullopt.
+bool convert(const Value& v, std::optional<double>& out);
+/// A whole number in [0, kUintLimit<U>]: a u64 stops at 2^53, a u32 cell
+/// id at 2^32 - 1.
+template <std::unsigned_integral U>
+  requires(!std::same_as<U, bool>)
+bool convert(const Value& v, U& out) {
+  const double n = v.as_number();
+  if (!v.is_number() || !(n >= 0.0 && n <= static_cast<double>(kUintLimit<U>)) ||
+      n != static_cast<double>(static_cast<std::uint64_t>(n))) {
+    return false;
+  }
+  out = static_cast<U>(n);
+  return true;
+}
+template <typename T>
+  requires requires(const Value& v, T& item) { convert(v, item); }
+bool convert(const Value& v, std::vector<T>& out) {
+  out.clear();
+  out.reserve(v.items().size());
+  for (const Value& item : v.items()) {
+    if (!convert(item, out.emplace_back())) return false;
+  }
+  return v.is_array();
+}
+
+/// Strict reader over one JSON object: the one reader behind every decoder
+/// (specs and results in service/codec, checkpoints in solver/checkpoint).
+///  - The first error wins and later reads do nothing. Each error starts
+///    with the object's path: "spec.tabu.compound: 'batch' must be ...".
+///  - finish() refuses the first member no read asked about, so a typo
+///    ("iteratons") is an error, never a silent default.
+///  - Values follow convert(): finite numbers, whole numbers within 2^53
+///    and their type.
+///  - Presence is set per document: Optional leaves the target untouched
+///    when the key is absent (clients send partial specs), Required
+///    refuses the absence (checkpoints).
+class Reader {
+ public:
+  enum class Presence { Optional, Required };
+
+  /// Reads the object `value`, named `context` in errors; `error` must
+  /// outlive the reader and collects the first error.
+  Reader(const Value& value, std::string_view context, Presence presence,
+         std::string& error);
+  /// Reads member `key` of `parent` as a nested object. When it is absent
+  /// the reader is empty: every read leaves its target untouched.
+  Reader(Reader& parent, std::string_view key);
+
+  /// Marks `key` as known and returns its value; nullptr when the key is
+  /// absent (an error under Presence::Required) or an error is already set.
+  const Value* member(std::string_view key);
+
+  /// Reads member `key` through convert(); a refused value is an error.
+  template <typename T>
+    requires requires(const Value& v, T& out) { convert(v, out); }
+  void read(std::string_view key, T& out) {
+    if (const Value* v = member(key); v != nullptr && !convert(*v, out)) {
+      fail("'" + std::string(key) + "' must be " + expected<T>());
+    }
+  }
+
+  /// Records "<path>: `why`" unless an error is already set.
+  void fail(std::string_view why);
+  /// Call last: refuses the first member no read asked about.
+  void finish();
+
+ private:
+  bool ok() const { return error_.empty(); }
+  /// What convert() requires of a `T`, for error messages.
+  template <typename T>
+  static std::string expected() {
+    if constexpr (std::same_as<T, std::string>) {
+      return "a string";
+    } else if constexpr (std::same_as<T, bool>) {
+      return "a boolean";
+    } else if constexpr (std::same_as<T, double>) {
+      return "a finite number";
+    } else if constexpr (std::same_as<T, std::optional<double>>) {
+      return "a finite number or null";
+    } else if constexpr (std::unsigned_integral<T>) {
+      return "a whole number in [0, " + std::to_string(kUintLimit<T>) + "]";
+    } else {
+      return "an array, each item " + expected<typename T::value_type>();
+    }
+  }
+  std::string path() const;
+
+  const Value* value_;  ///< null for an absent nested object
+  const Reader* parent_ = nullptr;
+  std::string_view name_;  ///< context (root) or key (nested)
+  Presence presence_;
+  std::string& error_;
+  /// Members matched so far, and which of the first 64 they were: enough
+  /// to name the first unknown member, since no schema object has 64 keys.
+  std::size_t matched_ = 0;
+  std::uint64_t matched_mask_ = 0;
+};
 
 }  // namespace pts::json

@@ -17,6 +17,7 @@
 #include <atomic>
 #include <cstddef>
 #include <optional>
+#include <string_view>
 
 namespace pts {
 
@@ -69,6 +70,17 @@ inline const char* stop_reason_name(StopReason reason) {
     case StopReason::DeadlineExpired: return "deadline-expired";
   }
   return "unknown";
+}
+
+/// Inverse of stop_reason_name; nullopt for a name it never returns.
+inline std::optional<StopReason> stop_reason_from_name(std::string_view name) {
+  for (const StopReason reason :
+       {StopReason::Completed, StopReason::IterationBudget, StopReason::TimeLimit,
+        StopReason::TargetCost, StopReason::TargetQuality, StopReason::Cancelled,
+        StopReason::DeadlineExpired}) {
+    if (name == stop_reason_name(reason)) return reason;
+  }
+  return std::nullopt;
 }
 
 /// Caller-imposed limits layered on top of an engine's own budget. Default

@@ -257,6 +257,30 @@ TEST(WireGolden, GoldensDecodeAndReencodeUnchanged) {
   EXPECT_EQ(solver::encode_checkpoint(ck), kGoldenCheckpoint);
 }
 
+TEST(WireGolden, EveryStopReasonRoundTrips) {
+  for (const StopReason reason :
+       {StopReason::Completed, StopReason::IterationBudget, StopReason::TimeLimit,
+        StopReason::TargetCost, StopReason::TargetQuality, StopReason::Cancelled,
+        StopReason::DeadlineExpired}) {
+    solver::SolveResult result = golden_result();
+    result.stop_reason = reason;
+    const std::string text = encode_result(result);
+    const std::string name = stop_reason_name(reason);
+    EXPECT_NE(text.find("\"stop_reason\":\"" + name + "\""), std::string::npos);
+    std::string error;
+    const auto back = decode_result(text, &error);
+    ASSERT_TRUE(back.has_value()) << name << ": " << error;
+    EXPECT_EQ(back->stop_reason, reason) << name;
+    EXPECT_EQ(stop_reason_from_name(name), reason);
+  }
+  EXPECT_FALSE(stop_reason_from_name("unknown").has_value());
+  std::string bogus(kGoldenResult);
+  bogus.replace(bogus.find("target-quality"), 14, "finished");
+  std::string error;
+  EXPECT_FALSE(decode_result(bogus, &error).has_value());
+  EXPECT_NE(error.find("stop_reason"), std::string::npos) << error;
+}
+
 // -- number text -------------------------------------------------------------
 
 std::string to_chars_text(double v) {

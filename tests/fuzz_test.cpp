@@ -7,8 +7,9 @@
 //
 // Beyond "never aborts" (the ASan+UBSan job runs this suite), every
 // accepted input must be a fixed point of its codec — re-encoding what was
-// decoded and decoding that again gives the same bytes — and an injected
-// duplicate key must always be refused.
+// decoded and decoding that again gives the same bytes — and DOM-level
+// edits must be refused by name: an injected duplicate or unknown key in
+// any document, and a dropped member anywhere in a checkpoint.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -105,27 +106,28 @@ void inflate_digits(std::string& text, Rng& rng) {
   text.insert(at, run);
 }
 
-/// Copies `value`, repeating one member of the `target`-th object visited
-/// (pre-order). `seen` counts the objects visited so far.
-json::Value with_duplicate(const json::Value& value, std::size_t target,
-                           std::size_t& seen, Rng& rng) {
+/// Copies `value`, rebuilding the `target`-th object visited (pre-order)
+/// from its members as `edit` leaves them. `seen` counts the objects
+/// visited so far.
+template <typename Edit>
+json::Value with_edit(const json::Value& value, std::size_t target, std::size_t& seen,
+                      const Edit& edit) {
   if (value.is_array()) {
     json::Value out = json::Value::array();
     for (const auto& item : value.items()) {
-      out.push_back(with_duplicate(item, target, seen, rng));
+      out.push_back(with_edit(item, target, seen, edit));
     }
     return out;
   }
   if (!value.is_object()) return value;
   const bool here = seen++ == target;
-  json::Value out = json::Value::object();
+  std::vector<json::Member> members;
   for (const auto& [key, member] : value.members()) {
-    out.append(key, with_duplicate(member, target, seen, rng));
+    members.emplace_back(key, with_edit(member, target, seen, edit));
   }
-  if (here && !value.members().empty()) {
-    const auto& [key, member] = value.members()[rng.below(value.members().size())];
-    out.append(key, member);
-  }
+  if (here) edit(members);
+  json::Value out = json::Value::object();
+  for (auto& [key, member] : members) out.append(std::move(key), std::move(member));
   return out;
 }
 
@@ -136,12 +138,16 @@ std::size_t count_objects(const json::Value& value) {
   return n;
 }
 
+/// Repeats one member of a random object.
 std::string inject_duplicate(const std::string& text, Rng& rng) {
   const auto value = json::parse(text, nullptr);
   if (!value) return text;
   std::size_t seen = 0;
-  return json::dump(
-      with_duplicate(*value, rng.below(count_objects(*value)), seen, rng));
+  return json::dump(with_edit(*value, rng.below(count_objects(*value)), seen,
+                              [&](std::vector<json::Member>& members) {
+                                if (members.empty()) return;
+                                members.push_back(members[rng.below(members.size())]);
+                              }));
 }
 
 std::string mutate(const std::string& text, Rng& rng) {
@@ -251,6 +257,62 @@ TEST(JsonFuzz, InjectedDuplicateKeysAreAlwaysRefused) {
             << "seed " << seed << ": accepted " << mutant << " (" << error << ")";
       }
     }
+  }
+}
+
+TEST(JsonFuzz, InjectedUnknownKeysAreAlwaysRefused) {
+  // An extra member anywhere in a spec, result or checkpoint, at any
+  // position among its siblings, must be refused by name.
+  for (const std::uint64_t seed : kSeeds) {
+    Rng rng(seed);
+    for (const Sample& sample : corpus()) {
+      const auto value = json::parse(sample.text, nullptr);
+      ASSERT_TRUE(value.has_value());
+      for (int i = 0; i < kMutantsPerSample; ++i) {
+        const std::string key = "injected" + std::to_string(i);
+        std::size_t seen = 0;
+        const std::string mutant = json::dump(
+            with_edit(*value, rng.below(count_objects(*value)), seen,
+                      [&](std::vector<json::Member>& members) {
+                        const auto at = static_cast<std::ptrdiff_t>(
+                            rng.below(members.size() + 1));
+                        members.insert(members.begin() + at, {key, json::Value(1.0)});
+                      }));
+        const std::string error = decode_error(sample.doc, mutant);
+        ASSERT_NE(error.find("unknown key '" + key + "'"), std::string::npos)
+            << "seed " << seed << ": accepted " << mutant << " (" << error << ")";
+      }
+    }
+  }
+}
+
+TEST(JsonFuzz, DroppedMembersAreRefusedInCheckpoints) {
+  // Every member of a checkpoint, at every depth, is required: dropping any
+  // one of them must be refused with an error naming it.
+  for (const Sample& sample : corpus()) {
+    if (sample.doc != Doc::Checkpoint) continue;
+    const auto value = json::parse(sample.text, nullptr);
+    ASSERT_TRUE(value.has_value());
+    const std::size_t objects = count_objects(*value);
+    std::size_t dropped = 0;
+    for (std::size_t target = 0; target < objects; ++target) {
+      for (std::size_t index = 0;; ++index) {
+        std::string key;
+        std::size_t seen = 0;
+        const std::string mutant = json::dump(
+            with_edit(*value, target, seen, [&](std::vector<json::Member>& members) {
+              if (index >= members.size()) return;
+              key = members[index].first;
+              members.erase(members.begin() + static_cast<std::ptrdiff_t>(index));
+            }));
+        if (key.empty()) break;
+        ++dropped;
+        const std::string error = decode_error(sample.doc, mutant);
+        ASSERT_NE(error.find("'" + key + "' is required"), std::string::npos)
+            << "dropped '" << key << "' from object " << target << ": " << error;
+      }
+    }
+    EXPECT_GE(dropped, 40u);  // every member of every object was tried
   }
 }
 

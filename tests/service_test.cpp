@@ -701,6 +701,48 @@ TEST_F(DaemonTest, SchemaViolationsAnswerErrorsAndConnectionSurvives) {
   EXPECT_TRUE(client.wait(*session, nullptr, &error).has_value()) << error;
 }
 
+TEST_F(DaemonTest, SubmitRefusesSeedsAboveTwoTo53BeforeSending) {
+  // JSON numbers are doubles: 2^53 + 1 would arrive as 2^53, and the daemon
+  // would solve (and cache under) a seed the client never asked for.
+  JobRequest job;
+  job.circuit = "highway";
+  job.spec.tabu.iterations = 30;
+  job.spec.seed = json::kMaxExactInteger + 1;
+  std::string error;
+
+  // Refused before any byte is sent: an unconnected client reports the
+  // limit, not the missing connection.
+  Client offline;
+  EXPECT_FALSE(offline.submit(job, false, 0, &error).has_value());
+  EXPECT_NE(error.find("2^53"), std::string::npos) << error;
+
+  auto client = connect();
+  ASSERT_TRUE(client.hello(&error).has_value()) << error;
+  EXPECT_FALSE(client.submit(job, false, 0, &error).has_value());
+  EXPECT_NE(error.find("2^53"), std::string::npos) << error;
+  EXPECT_EQ(daemon_->sessions_started(), 0u);
+
+  // 2^53 itself crosses exactly, on the same connection.
+  job.spec.seed = json::kMaxExactInteger;
+  const auto session = client.submit(job, false, 0, &error);
+  ASSERT_TRUE(session.has_value()) << error;
+  const auto served = client.wait(*session, nullptr, &error);
+  ASSERT_TRUE(served.has_value()) << error;
+  SolveSpec direct = job.spec;
+  direct.netlist = &experiments::circuit("highway");
+  EXPECT_EQ(served->best_slots, solver::Solver().solve(direct).best_slots);
+}
+
+TEST(Client, ParseSeedTakesOnlyWholeNonNegativeIntegers) {
+  EXPECT_EQ(parse_seed("0"), 0u);
+  EXPECT_EQ(parse_seed("42"), 42u);
+  EXPECT_EQ(parse_seed("18446744073709551615"), 18446744073709551615ull);
+  for (const char* bad : {"", "abc", "-1", "1.5", "+3", " 7", "7 ", "0x10", "1e3",
+                          "18446744073709551616"}) {
+    EXPECT_FALSE(parse_seed(bad).has_value()) << "'" << bad << "'";
+  }
+}
+
 TEST_F(DaemonTest, MalformedFrameDropsConnection) {
   const int fd = raw_connect(socket_path_);
   ASSERT_GE(fd, 0);

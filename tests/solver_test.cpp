@@ -715,6 +715,27 @@ TEST(SolverCheckpoint, CheckpointJsonRoundTripsAndRejectsGarbage) {
   EXPECT_NE(check_resume_compatible(other_circuit, solve.checkpoint), "");
 }
 
+TEST(SolverCheckpoint, UnknownMembersAreRefused) {
+  SolveSpec spec;
+  spec.engine = "tabu";
+  spec.netlist = &experiments::circuit("highway");
+  spec.tabu.iterations = 10;
+  const std::string encoded = encode_checkpoint(solve_with_checkpoint(spec).checkpoint);
+  Checkpoint sink;
+
+  std::string top = encoded;
+  top.insert(top.size() - 1, R"(,"bogus":5)");
+  EXPECT_EQ(decode_checkpoint(top, &sink), "checkpoint: unknown key 'bogus'");
+
+  // Nested two levels down, in search.stats.
+  std::string nested = encoded;
+  const auto stats = nested.find(R"("stats":{)");
+  ASSERT_NE(stats, std::string::npos);
+  nested.insert(stats + 9, R"("bogus":5,)");
+  EXPECT_EQ(decode_checkpoint(nested, &sink),
+            "checkpoint.search.stats: unknown key 'bogus'");
+}
+
 // A checkpoint that decodes cleanly can still describe engine state that
 // restoring would abort on; check_resume_compatible must name each defect.
 class ResumeRefusesMalformedState : public ::testing::Test {
